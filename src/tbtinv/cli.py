@@ -5,8 +5,11 @@ method), ``wwr`` (baseline recursion), ``opcount`` (cost-model sweep CSV)
 and ``verify`` (cross-check fast vs reference vs baseline on an
 instance).
 
-Exit status: 0 pass, 1 tolerance failure, 2 input not positive definite,
-3 I/O or usage error.
+Exit status, the same for every subcommand: 0 pass, 1 tolerance failure
+(``verify`` only), 2 input not positive definite (including a singular
+prediction-error block), 3 I/O or usage error, 4 numerical breakdown in
+the recursion or a failed internal consistency check.  Every status but 0
+and 1 comes with a one-line message on standard error.
 """
 
 import argparse
@@ -16,17 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import costmodel, fileio
-from .core import NotPositiveDefinite, OpCounter, TbtGenerator, \
-    assemble_dense, band_to_dense
+from .core import FactorizationMismatch, InternalIndexError, \
+    NotPositiveDefinite, NumericalBreakdown, OpCounter, SingularP, \
+    TbtGenerator, assemble_dense
 from .fast import fetch, tbt_factorization, tbt_grc
 from .instances import generate_pd_tbt
-from .oracle import build_factorization, grc_full, inverse_dense
+from .oracle import build_factorization, entry_deviation, grc_full, \
+    inverse_dense
 from .wwr import normal_system, wwr_recurse, wwr_residual
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_NOT_PD = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -54,8 +60,6 @@ class RunConfig:
             raise ValueError("ridge must be positive")
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("sizes must be >= 1")
-        if self.command == "wwr" and self.input is None and self.n2 < 2:
-            raise ValueError("the baseline needs n2 >= 2")
 
 
 @dataclass
@@ -84,15 +88,6 @@ class VerifyReport:
         yield f"verdict: {verdict} (tolerance {self.tolerance:g})"
 
 
-def _scalar_dev(x, y) -> float:
-    return abs(x - y) / max(1.0, abs(y))
-
-
-def _band_dev(x, y) -> float:
-    dx, dy = band_to_dense(x), band_to_dense(y)
-    return float(np.max(np.abs(dx - dy)) / max(1.0, np.max(np.abs(dy))))
-
-
 def run_verify(g: TbtGenerator, tolerance: float = 1e-8) -> VerifyReport:
     """Cross-check the fast solver, reference recursion and baseline.
 
@@ -103,18 +98,8 @@ def run_verify(g: TbtGenerator, tolerance: float = 1e-8) -> VerifyReport:
     n = g.n
     reference = grc_full(assemble_dense(g))
     tables = tbt_grc(g)
-    dev = 0.0
-    for k in range(n):
-        for l in range(k, n):
-            got = fetch(tables, k, l)
-            want = reference.get(k, l)
-            dev = max(dev,
-                      _scalar_dev(got.a, want.a),
-                      _scalar_dev(got.ap, want.ap),
-                      _scalar_dev(got.v, want.v),
-                      _scalar_dev(got.vp, want.vp),
-                      _band_dev(got.p, want.p),
-                      _band_dev(got.q, want.q))
+    dev = max(entry_deviation(fetch(tables, k, l), reference.get(k, l))
+              for k in range(n) for l in range(k, n))
     inverse = inverse_dense(tbt_factorization(g))
     resid = float(np.linalg.norm(reference.matrix @ inverse - np.eye(n))
                   / np.sqrt(n))
@@ -256,9 +241,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[cfg.command](cfg)
-    except NotPositiveDefinite as exc:
+    except (NotPositiveDefinite, SingularP) as exc:
         print(f"not positive definite: {exc}", file=sys.stderr)
         return EXIT_NOT_PD
+    except (NumericalBreakdown, InternalIndexError,
+            FactorizationMismatch) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

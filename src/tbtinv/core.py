@@ -146,13 +146,17 @@ def tbt_entry(g: TbtGenerator, i: int, j: int) -> complex:
 
 
 def assemble_dense(g: TbtGenerator) -> np.ndarray:
-    """Materialize the full n x n matrix of ``g`` (exactly Hermitian)."""
-    n = g.n
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = tbt_entry(g, i, j)
-    return out
+    """Materialize the full n x n matrix of ``g`` (exactly Hermitian).
+
+    Entry for entry the same lookup as :func:`tbt_entry`, done on index
+    arrays.
+    """
+    block, within = np.divmod(np.arange(g.n), g.n1)
+    d = block[None, :] - block[:, None]
+    s = within[None, :] - within[:, None]
+    neg = d < 0
+    vals = g.c[np.abs(d), np.where(neg, -s, s) + g.n1 - 1]
+    return np.where(neg, np.conj(vals), vals)
 
 
 def validate_hermitian(a: np.ndarray, tol: float = 0.0) -> np.ndarray:

@@ -3,11 +3,12 @@
 Computes the reflection-coefficient tables for a TBT matrix while storing
 only the canonical half of each block cell: the pair (k, l) and its
 antidiagonal mirror carry the same information, related by conjugation, a
-support reversal and a shift.  Values at non-stored pairs are
-reconstructed on demand, and pairs whose head index lies beyond the first
-block row reduce to a stored pair by a whole-block shift.  The matrix is
-read exclusively through the generator's entry accessor, never through a
-dense copy, and the total work is O(n1^3 * n2^2) scalar operations.
+support reversal and a shift.  Pairs whose head index lies beyond the
+first block row reduce to a stored pair by a whole-block shift.
+:func:`fetch` serves every pair from that half, and the recursion itself
+reads its predecessors through it.  The matrix is read exclusively
+through the generator's entry accessor, never through a dense copy, and
+the total work is O(n1^3 * n2^2) scalar operations.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .core import (
     tbt_entry,
     unit_band,
 )
-from .oracle import GrcEntry, InverseFactor, grc_step
+from .oracle import GrcEntry, InverseFactor, assemble_factor, grc_step
 
 
 @dataclass
@@ -54,15 +55,6 @@ def storage_condition(k: int, l: int, n1: int) -> bool:
     return k < n1 and k <= index_exchange(k, l, n1)[0]
 
 
-def _stored(entries: dict, k: int, l: int) -> GrcEntry:
-    try:
-        return entries[(k, l)]
-    except KeyError:
-        raise InternalIndexError(
-            f"pair ({k}, {l}) needed but neither stored nor "
-            f"reconstructible") from None
-
-
 def _mirrored(e: GrcEntry, dk: int) -> GrcEntry:
     """Values at a pair from its stored mirror entry; dk = k - k_mirror.
 
@@ -84,71 +76,29 @@ def _diagonal_entry(g: TbtGenerator, k: int) -> GrcEntry:
 def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None) -> CanonicalTables:
     """Run the half-table recursion over the generator.
 
-    One block column at a time, two index sweeps cover the canonical
-    pairs: heads at or below the block antidiagonal first (descending
-    head offset), then strictly above it.  Each step draws its two
-    predecessor polynomials either from storage, from the mirror of a
-    stored pair (when the predecessor fell into the non-stored half or
-    the previous block column), or from the step's own forward
-    polynomial when the pair sits exactly on the antidiagonal.
+    The canonical pairs are filled by increasing distance w = l - k, the
+    order of the dense reference recursion.  Each step reads its two
+    predecessors, (k, l-1) and (k+1, l), through :func:`fetch`, which
+    serves them from storage, from a stored mirror, by a whole-block
+    shift, or from the constant main diagonal.  A mirror or a block shift
+    keeps the distance, so every predecessor is ready when it is read.
     """
-    n1, n2, n = g.n1, g.n2, g.n
+    n1, n = g.n1, g.n
 
     def m(i, j):
         return tbt_entry(g, i, j)
 
-    entries = {}
-    for k in range(n1):
-        entries[(k, k)] = _diagonal_entry(g, k)
-
-    for d2 in range(n2):
-        if d2 != 0:
-            for d1 in range(n1 - 1, -1, -1):
-                for u in range(n1 - d1):
-                    k = u + d1
-                    l = d2 * n1 + u
-                    kp = index_exchange(k, l, n1)[0]
-                    if k > kp:
-                        continue
-                    if u == 0:
-                        # (k, l-1) lives in the previous block column's
-                        # non-stored half; take its mirror.
-                        mk, ml = index_exchange(k, l - 1, n1)
-                        mirror = _stored(entries, mk, ml)
-                        p_hat = shift(conj_band(reverse_support(mirror.q)),
-                                      k - mk)
-                        vp_hat = mirror.v
-                    else:
-                        left = _stored(entries, k, l - 1)
-                        p_hat, vp_hat = left.p, left.vp
-                    if k == kp:
-                        # (k+1, l) mirrors onto (k, l-1): derive the
-                        # backward polynomial from p_hat itself.
-                        q_hat = shift(conj_band(reverse_support(p_hat)), 1)
-                        v_hat = vp_hat
-                    else:
-                        below = _stored(entries, k + 1, l)
-                        q_hat, v_hat = below.q, below.v
-                    entries[(k, l)] = grc_step(p_hat, q_hat, v_hat, vp_hat,
-                                               m, k, l, counter)
-        for d1 in range(1, n1):
-            for u in range(n1 - d1):
-                k = u
-                l = d2 * n1 + u + d1
-                kp = index_exchange(k, l, n1)[0]
-                if k > kp:
-                    continue
-                left = _stored(entries, k, l - 1)
-                p_hat, vp_hat = left.p, left.vp
-                if k == kp:
-                    q_hat = shift(conj_band(reverse_support(p_hat)), 1)
-                    v_hat = vp_hat
-                else:
-                    below = _stored(entries, k + 1, l)
-                    q_hat, v_hat = below.q, below.v
-                entries[(k, l)] = grc_step(p_hat, q_hat, v_hat, vp_hat,
-                                           m, k, l, counter)
-    return CanonicalTables(g, entries)
+    t = CanonicalTables(g, {(k, k): _diagonal_entry(g, k) for k in range(n1)})
+    for w in range(1, n):
+        for k in range(min(n1, n - w)):
+            l = k + w
+            if not storage_condition(k, l, n1):
+                continue
+            left = fetch(t, k, l - 1)
+            below = fetch(t, k + 1, l)
+            t.entries[(k, l)] = grc_step(left.p, below.q, below.v, left.vp,
+                                         m, k, l, counter)
+    return t
 
 
 def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
@@ -190,11 +140,4 @@ def tbt_factorization(g: TbtGenerator,
     assembles the matrix.
     """
     t = tbt_grc(g, counter)
-    n = g.n
-    columns = []
-    diag = np.empty(n, dtype=float)
-    for k in range(n):
-        e = fetch(t, k, n - 1)
-        columns.append(conj_band(e.p))
-        diag[k] = e.vp
-    return InverseFactor(n, columns, diag)
+    return assemble_factor(g.n, lambda k, l: fetch(t, k, l))

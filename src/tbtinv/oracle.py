@@ -22,6 +22,7 @@ from .core import (
     NotPositiveDefinite,
     NumericalBreakdown,
     OpCounter,
+    band_to_dense,
     column_inner,
     conj_band,
     unit_band,
@@ -172,31 +173,53 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
     return CoeffTables(n, R, entries)
 
 
-def build_factorization(t: CoeffTables) -> InverseFactor:
-    """Assemble the inverse factor from completed tables.
+def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
+    """Hybrid relative deviation between two table cells.
+
+    Each scalar and each polynomial is compared relative to the larger of
+    1 and the magnitude of ``want``; the worst of the six is returned.
+    """
+    devs = [abs(x - y) / max(1.0, abs(y)) for x, y in
+            ((got.a, want.a), (got.ap, want.ap), (got.v, want.v),
+             (got.vp, want.vp))]
+    for x, y in ((got.p, want.p), (got.q, want.q)):
+        dx, dy = band_to_dense(x), band_to_dense(y)
+        devs.append(np.max(np.abs(dx - dy)) / max(1.0, np.max(np.abs(dy))))
+    return float(max(devs))
+
+
+def assemble_factor(n: int, get) -> InverseFactor:
+    """Inverse factor from the full-width cells ``get(k, n-1)``.
 
     The stored columns are the conjugates of the full-width forward
     polynomials, which makes both the inverse product F diag^-1 F^H and
-    the diagonality of F^H R F hold literally.  The diagonal comes from
-    the head residuals and is confirmed against the directly evaluated
-    quadratic form; a mismatch means the recursion is broken, not that
-    the input is bad.
+    the diagonality of F^H R F hold literally; the diagonal holds the
+    head residuals.
     """
-    n = t.n
     columns = []
     diag = np.empty(n, dtype=float)
     for k in range(n):
-        e = t.get(k, n - 1)
+        e = get(k, n - 1)
         columns.append(conj_band(e.p))
         diag[k] = e.vp
-    f = InverseFactor(n, columns, diag)
+    return InverseFactor(n, columns, diag)
+
+
+def build_factorization(t: CoeffTables) -> InverseFactor:
+    """Assemble the inverse factor from completed tables and verify it.
+
+    Each diagonal entry is confirmed against the directly evaluated
+    quadratic form; a mismatch means the recursion is broken, not that
+    the input is bad.
+    """
+    f = assemble_factor(t.n, t.get)
     R = t.matrix
     for k, col in enumerate(f.columns):
         seg = R[col.lo:col.hi + 1, col.lo:col.hi + 1] @ col.coeff
         direct = np.vdot(col.coeff, seg)
-        if abs(direct - diag[k]) > 1e-10 * abs(diag[k]):
+        if abs(direct - f.diag[k]) > 1e-10 * abs(f.diag[k]):
             raise FactorizationMismatch(
-                f"diagonal entry {k}: recursion value {diag[k]!r} vs "
+                f"diagonal entry {k}: recursion value {f.diag[k]!r} vs "
                 f"direct quadratic form {direct!r}")
     return f
 

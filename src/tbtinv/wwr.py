@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OpCounter, SingularP, TbtGenerator
+from .core import NotPositiveDefinite, OpCounter, SingularP, TbtGenerator
 
 # A pivot at or below this fraction of the matrix norm counts as singular.
 PIVOT_TOL = 1e3 * np.finfo(float).eps
@@ -107,6 +107,26 @@ def _solve_right(b: np.ndarray, a: np.ndarray,
     return _lu_solve(lu, perm, b.T, counter).T
 
 
+def _require_pd(p: np.ndarray, order: int) -> None:
+    """Raise unless the prediction-error block of ``order`` is PD.
+
+    The block is Hermitian in exact arithmetic, so its Hermitian part is
+    tested: a smallest eigenvalue at roundoff scale (the pivot threshold
+    relative to the block's norm) means a singular block, anything below
+    that an indefinite input.
+    """
+    lam = np.linalg.eigvalsh(0.5 * (p + p.conj().T))[0]
+    tol = PIVOT_TOL * np.linalg.norm(p)
+    if lam < -tol:
+        raise NotPositiveDefinite(
+            f"prediction-error block of order {order} is indefinite "
+            f"(smallest eigenvalue {lam:g})")
+    if lam <= tol:
+        raise SingularP(
+            f"prediction-error block of order {order} is singular "
+            f"(smallest eigenvalue {lam:g})")
+
+
 def _matmul(a: np.ndarray, b: np.ndarray,
             counter: OpCounter | None = None) -> np.ndarray:
     if counter is not None:
@@ -119,14 +139,17 @@ def wwr_recurse(g: TbtGenerator,
                 counter: OpCounter | None = None) -> list:
     """Run the block recursion; returns the state after each order.
 
-    Requires at least two block orders; raises SingularP when the
-    prediction-error block degenerates (non-PD input).
+    Requires at least two block orders.  R_0 and every updated
+    prediction-error block are checked (O(n1^3) each): an indefinite one
+    raises NotPositiveDefinite, a singular one SingularP; either means
+    the input is not positive definite.
     """
     n1, n2 = g.n1, g.n2
     if n2 < 2:
         raise ValueError("the block recursion needs n2 >= 2")
     r_blocks = [block(g, d) for d in range(n2)]
     p = r_blocks[0]
+    _require_pd(p, 0)
     coeffs = []
     states = []
     for order in range(1, n2):
@@ -140,6 +163,7 @@ def wwr_recurse(g: TbtGenerator,
         updated.append(a_new)
         # The backward reflection block is the conjugate-flip of a_new.
         p = p + _matmul(flip_conj(a_new), delta, counter)
+        _require_pd(p, order)
         coeffs = updated
         states.append(WwrState(order, [c.copy() for c in coeffs], p.copy(),
                                delta))

@@ -1,6 +1,6 @@
 import numpy as np
 
-from tbtinv import TbtGenerator, band_to_dense
+from tbtinv import TbtGenerator
 
 
 def random_hermitian_pd(n, seed, shift=1.0):
@@ -26,17 +26,3 @@ def identity_generator(n1, n2):
     c = np.zeros((n2, 2 * n1 - 1), dtype=complex)
     c[0, n1 - 1] = 1.0
     return TbtGenerator(n1, n2, c)
-
-
-def entry_deviation(got, want):
-    """Hybrid relative deviation between two table cells."""
-    devs = [
-        abs(got.a - want.a) / max(1.0, abs(want.a)),
-        abs(got.ap - want.ap) / max(1.0, abs(want.ap)),
-        abs(got.v - want.v) / max(1.0, abs(want.v)),
-        abs(got.vp - want.vp) / max(1.0, abs(want.vp)),
-    ]
-    for x, y in ((got.p, want.p), (got.q, want.q)):
-        dx, dy = band_to_dense(x), band_to_dense(y)
-        devs.append(np.max(np.abs(dx - dy)) / max(1.0, np.max(np.abs(dy))))
-    return max(devs)

@@ -32,7 +32,8 @@ from tbtinv import (
     wwr_residual,
 )
 from tbtinv.wwr import normal_system
-from conftest import entry_deviation, identity_generator, random_hermitian_pd
+from tbtinv.oracle import entry_deviation
+from conftest import identity_generator, random_hermitian_pd
 
 
 def _report(num, label, ok, detail):

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 
-from tbtinv import assemble_dense, generate_pd_tbt
-from tbtinv.cli import EXIT_FAIL, EXIT_NOT_PD, EXIT_PASS, EXIT_USAGE, \
-    main, run_verify
+from tbtinv import FactorizationMismatch, InternalIndexError, \
+    NumericalBreakdown, assemble_dense, generate_pd_tbt
+from tbtinv import cli
+from tbtinv.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_NOT_PD, EXIT_PASS, \
+    EXIT_USAGE, main, run_verify
 from tbtinv.fileio import read_dense, read_factor, read_generator
 from conftest import identity_generator
 
@@ -75,6 +78,36 @@ def test_wwr_needs_two_orders(tmp_path, capsys):
     assert main(["wwr", "--input", str(gen),
                  "--output", str(out)]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["1 2\n1 0\n1.5 0\n",
+                                  "1 3\n1 0\n1 0\n1 0\n"])
+def test_wwr_not_pd(tmp_path, capsys, text):
+    # Indefinite, then singular: both exit 2 with a one-line message.
+    gen = tmp_path / "g.txt"
+    gen.write_text(text)
+    assert main(["wwr", "--input", str(gen),
+                 "--output", str(tmp_path / "w.txt")]) == EXIT_NOT_PD
+    err = capsys.readouterr().err
+    assert err.startswith("not positive definite: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [NumericalBreakdown, InternalIndexError,
+                                   FactorizationMismatch])
+def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, error):
+    def broken(g, counter=None):
+        raise error("step failed")
+
+    monkeypatch.setattr(cli, "tbt_factorization", broken)
+    gen = tmp_path / "g.txt"
+    main(["gen", "--n1", "2", "--n2", "2", "--seed", "1",
+          "--output", str(gen)])
+    capsys.readouterr()
+    assert main(["invert", "--input", str(gen),
+                 "--output", str(tmp_path / "x.txt")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == f"{error.__name__}: step failed\n"
 
 
 def test_opcount_csv(tmp_path, capsys):

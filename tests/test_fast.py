@@ -26,7 +26,8 @@ from tbtinv import (
     unit_band,
 )
 from tbtinv.fast import storage_condition
-from conftest import entry_deviation, identity_generator
+from tbtinv.oracle import entry_deviation
+from conftest import identity_generator
 
 
 def loop_pairs(n1, n2):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tbtinv import (
+    NotPositiveDefinite,
     OpCounter,
     SingularP,
     TbtGenerator,
@@ -102,6 +103,20 @@ def test_singular_prediction_error():
     c[1] = (0.1, 0.2, 0.3)
     g = TbtGenerator(2, 2, c)
     with pytest.raises(SingularP):
+        wwr_recurse(g)
+
+
+def test_indefinite_prediction_error():
+    # R = [[1, 1.5], [1.5, 1]] is indefinite: the updated block is -1.25.
+    g = TbtGenerator(1, 2, np.array([[1.0], [1.5]]))
+    with pytest.raises(NotPositiveDefinite, match="order 1"):
+        wwr_recurse(g)
+
+
+def test_singular_updated_prediction_error():
+    # The all-ones 3 x 3 matrix is singular: the first update zeroes P.
+    g = TbtGenerator(1, 3, np.ones((3, 1)))
+    with pytest.raises(SingularP, match="order 1"):
         wwr_recurse(g)
 
 
