@@ -17,6 +17,7 @@ from .core import (
     TbtGenerator,
     assemble_dense,
     band_to_dense,
+    column_accessor,
     column_inner,
     conj_band,
     index_exchange,
@@ -35,7 +36,7 @@ from .costmodel import (
     opcwwr,
 )
 from .fast import CanonicalTables, fetch, tbt_factorization, tbt_grc
-from .instances import SplitMix64, generate_pd_tbt
+from .instances import SplitMix64, gaussian_kernel, generate_pd_tbt
 from .oracle import (
     CoeffTables,
     GrcEntry,
@@ -71,10 +72,12 @@ __all__ = [
     "assemble_dense",
     "band_to_dense",
     "build_factorization",
+    "column_accessor",
     "column_inner",
     "comparison_table",
     "conj_band",
     "fetch",
+    "gaussian_kernel",
     "generate_pd_tbt",
     "grc_full",
     "grc_step",

@@ -33,7 +33,13 @@ class NumericalBreakdown(Exception):
 
 
 class FactorizationMismatch(Exception):
-    """The factor verification pass failed; indicates an implementation bug."""
+    """A factor diagonal entry departs from the direct quadratic form.
+
+    Raised when |F_k^H R F_k - d_k| exceeds the form's rounding bound
+    n * eps * |R|_F * |F_k|^2, which does not grow with the conditioning
+    of R; so it indicates an implementation bug, not an ill-conditioned
+    input.
+    """
 
 
 class InternalIndexError(Exception):
@@ -125,7 +131,7 @@ class TbtGenerator:
         return complex(self.c[d, s + self.n1 - 1])
 
     def entry(self, i: int, j: int) -> complex:
-        """Matrix entry (i, j); satisfies the accessor contract."""
+        """Matrix entry (i, j)."""
         return tbt_entry(self, i, j)
 
 
@@ -145,18 +151,44 @@ def tbt_entry(g: TbtGenerator, i: int, j: int) -> complex:
     return complex(np.conj(g.c[-d, -s + g.n1 - 1]))
 
 
-def assemble_dense(g: TbtGenerator) -> np.ndarray:
-    """Materialize the full n x n matrix of ``g`` (exactly Hermitian).
+def _lookup(g: TbtGenerator, d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Entries at block offsets ``d`` and within-block offsets ``s``.
 
     Entry for entry the same lookup as :func:`tbt_entry`, done on index
     arrays.
     """
-    block, within = np.divmod(np.arange(g.n), g.n1)
-    d = block[None, :] - block[:, None]
-    s = within[None, :] - within[:, None]
     neg = d < 0
     vals = g.c[np.abs(d), np.where(neg, -s, s) + g.n1 - 1]
     return np.where(neg, np.conj(vals), vals)
+
+
+def assemble_dense(g: TbtGenerator) -> np.ndarray:
+    """Materialize the full n x n matrix of ``g`` (exactly Hermitian)."""
+    block, within = np.divmod(np.arange(g.n), g.n1)
+    return _lookup(g, block[None, :] - block[:, None],
+                   within[None, :] - within[:, None])
+
+
+def column_accessor(g: TbtGenerator):
+    """Column-slice accessor ``m(rows, j)`` of the matrix of ``g``.
+
+    Column j + n1 is column j moved down one block, so n1 column
+    templates of length 2n - n1 serve every column: template r holds
+    column r of a matrix extended by n2 - 1 blocks above, and column j is
+    the window of template j % n1 starting (n2 - 1 - j // n1) blocks
+    down.  Memory is O(n1 * n); the dense matrix is never built.
+    """
+    n1, n2 = g.n1, g.n2
+    t = np.arange((2 * n2 - 1) * n1)
+    templates = _lookup(g, (n2 - 1 - t // n1)[None, :],
+                        np.arange(n1)[:, None] - (t % n1)[None, :])
+
+    def m(rows: slice, j: int) -> np.ndarray:
+        block, r = divmod(j, n1)
+        off = (n2 - 1 - block) * n1
+        return templates[r, rows.start + off:rows.stop + off]
+
+    return m
 
 
 def validate_hermitian(a: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -201,7 +233,7 @@ class BandVector:
         coeff = np.asarray(self.coeff, dtype=complex)
         if coeff.shape != (self.hi - self.lo + 1,):
             raise ValueError("coefficient count must match the support window")
-        if not np.all(np.isfinite(coeff.real) & np.isfinite(coeff.imag)):
+        if not np.isfinite(coeff).all():
             raise ValueError("coefficients must be finite")
         coeff.flags.writeable = False
         object.__setattr__(self, "coeff", coeff)
@@ -251,15 +283,15 @@ def band_to_dense(v: BandVector) -> np.ndarray:
 
 
 def column_inner(v: BandVector, m, col: int, counter: OpCounter | None = None):
-    """Sum of v_i * m(i, col) over the support of ``v``.
+    """Sum of v_i * R[i, col] over the support of ``v``.
 
-    ``m`` is any (i, j) -> complex accessor; both the dense matrix path
-    and the generator path satisfy that contract.  Cost is proportional
-    to the support width, which the attached counter records.
+    Accessor contract: ``m(rows, col)`` takes the row slice
+    ``v.lo:v.hi+1`` and a column index and returns that segment of column
+    ``col`` of R as an array.  The dense path passes ``R[rows, col]``, the
+    generator path :func:`column_accessor`.  Cost is proportional to the
+    support width, which the attached counter records.
     """
-    acc = 0.0 + 0.0j
-    for offset in range(v.width):
-        acc += v.coeff[offset] * m(v.lo + offset, col)
+    acc = np.dot(v.coeff, m(slice(v.lo, v.hi + 1), col))
     if counter is not None:
         counter.mul += v.width
         counter.add += v.width - 1

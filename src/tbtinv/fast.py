@@ -7,8 +7,10 @@ support reversal and a shift.  Pairs whose head index lies beyond the
 first block row reduce to a stored pair by a whole-block shift.
 :func:`fetch` serves every pair from that half, and the recursion itself
 reads its predecessors through it.  The matrix is read exclusively
-through the generator's entry accessor, never through a dense copy, and
-the total work is O(n1^3 * n2^2) scalar operations.
+through column slices built from the generator
+(:func:`~tbtinv.core.column_accessor`, under the accessor contract of
+:func:`~tbtinv.core.column_inner`), never through a dense copy, and the
+total work is O(n1^3 * n2^2) scalar operations.
 """
 
 from dataclasses import dataclass
@@ -16,16 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BandVector,
     InternalIndexError,
     OpCounter,
     TbtGenerator,
-    conj_band,
+    column_accessor,
     index_exchange,
     mod_op,
-    reverse_support,
     sec_op,
     shift,
-    tbt_entry,
     unit_band,
 )
 from .oracle import GrcEntry, InverseFactor, assemble_factor, grc_step
@@ -62,9 +63,11 @@ def _mirrored(e: GrcEntry, dk: int) -> GrcEntry:
     (they are real), and each polynomial is the shifted, reversed
     conjugate of its partner.
     """
+    def reflect(x):
+        return BandVector(x.n, x.lo + dk, x.hi + dk, np.conj(x.coeff[::-1]))
+
     return GrcEntry(np.conj(e.ap), np.conj(e.a), e.vp, e.v,
-                    shift(conj_band(reverse_support(e.q)), dk),
-                    shift(conj_band(reverse_support(e.p)), dk))
+                    reflect(e.q), reflect(e.p))
 
 
 def _diagonal_entry(g: TbtGenerator, k: int) -> GrcEntry:
@@ -84,10 +87,7 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None) -> CanonicalTable
     keeps the distance, so every predecessor is ready when it is read.
     """
     n1, n = g.n1, g.n
-
-    def m(i, j):
-        return tbt_entry(g, i, j)
-
+    m = column_accessor(g)
     t = CanonicalTables(g, {(k, k): _diagonal_entry(g, k) for k in range(n1)})
     for w in range(1, n):
         for k in range(min(n1, n - w)):

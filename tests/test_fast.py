@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tbtinv.core
+import tbtinv.fast
+import tbtinv.oracle
 from tbtinv import (
     CanonicalTables,
     InternalIndexError,
@@ -15,6 +18,7 @@ from tbtinv import (
     build_factorization,
     conj_band,
     fetch,
+    gaussian_kernel,
     grc_full,
     index_exchange,
     inverse_dense,
@@ -184,6 +188,18 @@ def test_no_dense_assembly(monkeypatch):
     assert len(t.entries) > 0 and f.n == 9
 
 
+def test_no_per_element_generator_reads(monkeypatch):
+    def boom(*_):
+        raise AssertionError("fast path read the generator entry by entry")
+
+    for module in (tbtinv.core, tbtinv.fast, tbtinv.oracle):
+        monkeypatch.setattr(module, "tbt_entry", boom, raising=False)
+    g = generate_pd_tbt(3, 3, seed=10)
+    t = tbt_grc(g)
+    f = tbt_factorization(g)
+    assert len(t.entries) > 0 and f.n == 9
+
+
 def test_factorization_identity():
     f = tbt_factorization(identity_generator(2, 3))
     assert np.array_equal(f.diag, np.ones(6))
@@ -243,3 +259,30 @@ def test_multiply_count_scaling():
     slope = (sum((x - mx) * (y - my) for x, y in zip(xs, logs))
              / sum((x - mx) ** 2 for x in xs))
     assert abs(slope - 5.0) <= 0.3
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.integers(1, 6), n2=st.integers(1, 6), seed=st.integers(0, 2**32))
+@example(n1=1, n2=6, seed=0)
+@example(n1=6, n2=1, seed=0)
+def test_factorization_matches_oracle_property(n1, n2, seed):
+    g = generate_pd_tbt(n1, n2, seed)
+    fast = tbt_factorization(g)
+    ref = build_factorization(grc_full(assemble_dense(g)))
+    assert np.max(np.abs(fast.diag - ref.diag)) <= 1e-10 * np.max(ref.diag)
+    for cf, cr in zip(fast.columns, ref.columns):
+        dev = np.max(np.abs(band_to_dense(cf) - band_to_dense(cr)))
+        assert dev <= 1e-10
+
+
+def test_ill_conditioned_inverse_residual_near_lapack():
+    # Gaussian kernel at 8 x 8, ell = 2: condition number about 5.7e9.
+    g = gaussian_kernel(8, 8, 2.0)
+    r = assemble_dense(g)
+
+    def residual(x):
+        return np.linalg.norm(r @ x - np.eye(g.n)) / math.sqrt(g.n)
+
+    fast = residual(inverse_dense(tbt_factorization(g)))
+    lapack = residual(np.linalg.inv(r))
+    assert fast <= 10 * lapack

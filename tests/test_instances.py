@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tbtinv import assemble_dense, generate_pd_tbt, grc_full, tbt_grc
+from tbtinv import assemble_dense, gaussian_kernel, generate_pd_tbt, \
+    grc_full, tbt_grc
 from tbtinv.fileio import format_generator
 from tbtinv.instances import SplitMix64
 
@@ -53,3 +54,20 @@ def test_generate_validation():
         generate_pd_tbt(0, 2, seed=1)
     with pytest.raises(ValueError):
         generate_pd_tbt(2, 2, seed=1, ridge=0.0)
+
+
+def test_gaussian_kernel_values_and_conditioning():
+    g = gaussian_kernel(3, 2, 1.5)
+    for d in range(2):
+        for s in range(-2, 3):
+            assert g.value(d, s) == np.exp(-(d * d + s * s) / (2 * 1.5 ** 2))
+    r = assemble_dense(gaussian_kernel(8, 8, 2.0))
+    assert np.linalg.cond(r) > 1e9
+    assert np.min(np.linalg.eigvalsh(r)) > 0.0
+
+
+@pytest.mark.parametrize("args", [(0, 2, 1.0), (2, 0, 1.0), (2, 2, 0.0),
+                                  (2, 2, -1.0), (2, 2, float("nan"))])
+def test_gaussian_kernel_rejects_bad_arguments(args):
+    with pytest.raises(ValueError):
+        gaussian_kernel(*args)

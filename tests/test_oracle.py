@@ -8,7 +8,10 @@ from tbtinv import (
     apply_inverse,
     band_to_dense,
     build_factorization,
+    assemble_dense,
     column_inner,
+    gaussian_kernel,
+    generate_pd_tbt,
     grc_full,
     grc_step,
     inverse_dense,
@@ -267,3 +270,23 @@ def test_grc_full_rejects_non_hermitian():
     r = np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
         grc_full(r)
+
+
+@pytest.mark.parametrize("ell", [1.0, 1.5, 2.0, 3.0])
+def test_build_factorization_accepts_ill_conditioned(ell):
+    # Condition numbers from 1.5e3 (ell = 1) to 4e14 (ell = 3).
+    r = assemble_dense(gaussian_kernel(8, 8, ell))
+    f = build_factorization(grc_full(r))
+    assert f.n == 64
+
+
+def test_build_factorization_rejects_corrupted_diagonal():
+    t = grc_full(assemble_dense(generate_pd_tbt(8, 8, seed=3)))
+    n = t.n
+    for k in (0, n // 2, n - 1):
+        e = t.get(k, n - 1)
+        entries = dict(t.entries)
+        entries[(k, n - 1)] = e._replace(vp=e.vp * (1 + 1e-8))
+        with pytest.raises(FactorizationMismatch,
+                           match=f"diagonal entry {k}:"):
+            build_factorization(CoeffTables(n, t.matrix, entries))
