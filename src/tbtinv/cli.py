@@ -3,7 +3,8 @@
 Subcommands: ``gen`` (random PD instance), ``invert`` (fast or reference
 method), ``wwr`` (baseline recursion), ``opcount`` (cost-model sweep CSV)
 and ``verify`` (cross-check fast vs reference vs baseline on an
-instance).
+instance).  Without ``--tolerance``, ``verify`` scales its tolerance by
+the conditioning of the input: max(1e-8, cond(R) * n * eps).
 
 Exit status, the same for every subcommand: 0 pass, 1 tolerance failure
 (``verify`` only), 2 input not positive definite (including a singular
@@ -36,33 +37,6 @@ EXIT_INTERNAL = 4
 
 
 @dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    n1: int = 1
-    n2: int = 1
-    seed: int = 0
-    method: str = "fast"
-    input: str | None = None
-    output: str | None = None
-    factor: str | None = None
-    counter: bool = False
-    n_min: int = 2
-    n_max: int = 2
-    tolerance: float = 1e-8
-    ridge: float = 1e-6
-
-    def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.ridge <= 0.0:
-            raise ValueError("ridge must be positive")
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("sizes must be >= 1")
-
-
-@dataclass
 class VerifyReport:
     """Cross-check results for one instance."""
 
@@ -88,15 +62,21 @@ class VerifyReport:
         yield f"verdict: {verdict} (tolerance {self.tolerance:g})"
 
 
-def run_verify(g: TbtGenerator, tolerance: float = 1e-8) -> VerifyReport:
+def run_verify(g: TbtGenerator,
+               tolerance: float | None = None) -> VerifyReport:
     """Cross-check the fast solver, reference recursion and baseline.
 
     Compares every fetched table tuple against the dense reference,
     measures the materialized-inverse residual, and (for n2 >= 2) the
-    baseline's normal-equation residual.
+    baseline's normal-equation residual.  Without a tolerance, every
+    check must hold to max(1e-8, cond(R) * n * eps), the accuracy a
+    backward-stable solver can promise on R.
     """
     n = g.n
     reference = grc_full(assemble_dense(g))
+    if tolerance is None:
+        cond = float(np.linalg.cond(reference.matrix))
+        tolerance = max(1e-8, cond * n * np.finfo(float).eps)
     tables = tbt_grc(g)
     dev = max(entry_deviation(fetch(tables, k, l), reference.get(k, l))
               for k in range(n) for l in range(k, n))
@@ -121,6 +101,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tbtinv",
                      description="Structured inversion of Hermitian PD "
@@ -131,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n1", type=int, required=True, help="block size")
     gen.add_argument("--n2", type=int, required=True, help="block count")
     gen.add_argument("--seed", type=int, default=0, help="64-bit seed")
-    gen.add_argument("--ridge", type=float, default=1e-6,
-                     help="relative zero-lag ridge (default 1e-6)")
+    gen.add_argument("--ridge", type=_positive, default=1e-6,
+                     help="relative zero-lag ridge (default %(default)g)")
     gen.add_argument("--output", required=True, help="generator file path")
 
     inv = sub.add_parser("invert", help="materialize the inverse")
@@ -157,63 +144,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="cross-check solvers on an instance")
     ver.add_argument("--input", required=True, help="generator file path")
-    ver.add_argument("--tolerance", type=float, default=1e-8)
+    ver.add_argument("--tolerance", type=_positive, default=None,
+                     help="default: max(1e-8, cond(R) * n * eps)")
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    return RunConfig(**{k: v for k, v in fields.items()
-                        if k in RunConfig.__dataclass_fields__})
-
-
-def cmd_gen(cfg: RunConfig) -> int:
-    g = generate_pd_tbt(cfg.n1, cfg.n2, cfg.seed, cfg.ridge)
-    fileio.write_generator(g, cfg.output)
-    print(f"wrote {cfg.output} (n1={cfg.n1} n2={cfg.n2} seed={cfg.seed})")
+def cmd_gen(args: argparse.Namespace) -> int:
+    g = generate_pd_tbt(args.n1, args.n2, args.seed, args.ridge)
+    fileio.write_generator(g, args.output)
+    print(f"wrote {args.output} (n1={args.n1} n2={args.n2} seed={args.seed})")
     return EXIT_PASS
 
 
-def cmd_invert(cfg: RunConfig) -> int:
-    g = fileio.read_generator(cfg.input)
-    counter = OpCounter() if cfg.counter else None
-    if cfg.method == "oracle":
+def cmd_invert(args: argparse.Namespace) -> int:
+    g = fileio.read_generator(args.input)
+    counter = OpCounter() if args.counter else None
+    if args.method == "oracle":
         factor = build_factorization(grc_full(assemble_dense(g), counter))
     else:
         factor = tbt_factorization(g, counter)
-    fileio.write_dense(inverse_dense(factor), cfg.output)
-    if cfg.factor:
-        fileio.write_factor(factor, cfg.factor)
+    fileio.write_dense(inverse_dense(factor), args.output)
+    if args.factor:
+        fileio.write_factor(factor, args.factor)
     if counter is not None:
         print(f"mul={counter.mul} add={counter.add} div={counter.div}")
     return EXIT_PASS
 
 
-def cmd_wwr(cfg: RunConfig) -> int:
-    g = fileio.read_generator(cfg.input)
+def cmd_wwr(args: argparse.Namespace) -> int:
+    g = fileio.read_generator(args.input)
     states = wwr_recurse(g)
     resid = wwr_residual(g, states[-1])
     _, rhs = normal_system(g)
     rel = resid / max(float(np.linalg.norm(rhs)), 1.0)
     parts = [fileio.format_dense(coeff) for coeff in states[-1].coeffs]
-    with open(cfg.output, "w") as fh:
+    with open(args.output, "w") as fh:
         fh.write("\n".join(parts))
         fh.write(f"\nresidual {resid!r} relative {rel!r}\n")
     print(f"residual {resid:.3e} relative {rel:.3e}")
     return EXIT_PASS
 
 
-def cmd_opcount(cfg: RunConfig) -> int:
-    reports = costmodel.comparison_table(cfg.n_min, cfg.n_max)
-    with open(cfg.output, "w") as fh:
+def cmd_opcount(args: argparse.Namespace) -> int:
+    reports = costmodel.comparison_table(args.n_min, args.n_max)
+    with open(args.output, "w") as fh:
         fh.write(costmodel.format_csv(reports))
-    print(f"wrote {len(reports)} rows to {cfg.output}")
+    print(f"wrote {len(reports)} rows to {args.output}")
     return EXIT_PASS
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    g = fileio.read_generator(cfg.input)
-    report = run_verify(g, cfg.tolerance)
+def cmd_verify(args: argparse.Namespace) -> int:
+    g = fileio.read_generator(args.input)
+    report = run_verify(g, args.tolerance)
     for line in report.lines():
         print(line)
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -232,15 +214,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except (NotPositiveDefinite, SingularP) as exc:
         print(f"not positive definite: {exc}", file=sys.stderr)
         return EXIT_NOT_PD

@@ -19,8 +19,11 @@ from .core import BandVector, TbtGenerator
 from .oracle import InverseFactor
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _row(values) -> str:
+    """Space-separated shortest round-trip floats; a complex value is
+    written as its ``re im`` pair."""
+    floats = np.ascontiguousarray(values).view(float)
+    return " ".join(map(repr, floats.tolist()))
 
 
 def _data_lines(text: str):
@@ -40,11 +43,14 @@ def _floats(line: str, count: int, what: str) -> list:
         raise ValueError(f"{what}: {exc}") from None
 
 
+def _complex_row(line: str, count: int, what: str) -> np.ndarray:
+    """Read ``count`` complex values written as ``re im`` pairs."""
+    return np.array(_floats(line, 2 * count, what)).view(complex)
+
+
 def format_generator(g: TbtGenerator) -> str:
     lines = [f"{g.n1} {g.n2}"]
-    for d in range(g.n2):
-        row = g.c[d]
-        lines.append(" ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in row))
+    lines += [_row(row) for row in g.c]
     return "\n".join(lines) + "\n"
 
 
@@ -64,9 +70,7 @@ def parse_generator(text: str) -> TbtGenerator:
                          f"got {len(lines) - 1}")
     c = np.empty((n2, 2 * n1 - 1), dtype=complex)
     for d in range(n2):
-        vals = _floats(lines[1 + d], 2 * (2 * n1 - 1), f"generator row {d}")
-        c[d] = [complex(vals[2 * i], vals[2 * i + 1])
-                for i in range(2 * n1 - 1)]
+        c[d] = _complex_row(lines[1 + d], 2 * n1 - 1, f"generator row {d}")
     return TbtGenerator(n1, n2, c)
 
 
@@ -82,10 +86,7 @@ def read_generator(path) -> TbtGenerator:
 
 def format_dense(a: np.ndarray) -> str:
     a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    lines = [str(n)]
-    for row in a:
-        lines.append(" ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in row))
+    lines = [str(a.shape[0])] + [_row(row) for row in a]
     return "\n".join(lines) + "\n"
 
 
@@ -101,8 +102,7 @@ def parse_dense(text: str) -> np.ndarray:
         raise ValueError(f"dense file: expected {n} rows, got {len(lines) - 1}")
     out = np.empty((n, n), dtype=complex)
     for i in range(n):
-        vals = _floats(lines[1 + i], 2 * n, f"dense row {i}")
-        out[i] = [complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)]
+        out[i] = _complex_row(lines[1 + i], n, f"dense row {i}")
     return out
 
 
@@ -118,10 +118,8 @@ def read_dense(path) -> np.ndarray:
 
 def format_factor(f: InverseFactor) -> str:
     lines = [str(f.n)]
-    for col in f.columns:
-        vals = " ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in col.coeff)
-        lines.append(f"{col.lo} {col.hi} {vals}")
-    lines.append(" ".join(_fmt(d) for d in f.diag))
+    lines += [f"{col.lo} {col.hi} {_row(col.coeff)}" for col in f.columns]
+    lines.append(_row(f.diag))
     return "\n".join(lines) + "\n"
 
 
@@ -142,10 +140,8 @@ def parse_factor(text: str) -> InverseFactor:
         if len(parts) < 2:
             raise ValueError(f"factor column {k}: missing support bounds")
         lo, hi = int(parts[0]), int(parts[1])
-        vals = _floats(" ".join(parts[2:]), 2 * (hi - lo + 1),
-                       f"factor column {k}")
-        coeff = [complex(vals[2 * i], vals[2 * i + 1])
-                 for i in range(hi - lo + 1)]
+        coeff = _complex_row(" ".join(parts[2:]), hi - lo + 1,
+                             f"factor column {k}")
         columns.append(BandVector(n, lo, hi, coeff))
     diag = _floats(lines[1 + n], n, "factor diagonal")
     return InverseFactor(n, columns, np.asarray(diag, dtype=float))

@@ -146,6 +146,17 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_default_tolerance_scales_with_conditioning(tmp_path, capsys):
+    # Gaussian kernel at 8 x 8, ell = 2 (cond about 5.7e9): the checks
+    # reach about 3e-8, fine for this conditioning but above 1e-8.
+    gen = tmp_path / "g.txt"
+    write_generator(gaussian_kernel(8, 8, 2.0), gen)
+    assert main(["verify", "--input", str(gen)]) == EXIT_PASS
+    assert main(["verify", "--input", str(gen),
+                 "--tolerance", "1e-8"]) == EXIT_FAIL
+    capsys.readouterr()
+
+
 def test_verify_not_pd(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     # Tiny zero lag against unit off-diagonal lags: indefinite.
@@ -161,6 +172,11 @@ def test_usage_errors(tmp_path, capsys):
                  "--output", str(tmp_path / "x.txt")]) == EXIT_USAGE
     assert main(["gen", "--n1", "2", "--n2", "2", "--ridge", "-1",
                  "--output", str(tmp_path / "g.txt")]) == EXIT_USAGE
+    valid = tmp_path / "valid.txt"
+    write_generator(identity_generator(2, 2), valid)
+    for tol in ("0", "-1"):
+        assert main(["verify", "--input", str(valid),
+                     "--tolerance", tol]) == EXIT_USAGE
     capsys.readouterr()
 
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from tbtinv import BandVector, InverseFactor, assemble_dense, generate_pd_tbt
+from tbtinv import BandVector, InverseFactor, TbtGenerator, assemble_dense, \
+    generate_pd_tbt
 from tbtinv.fileio import (
+    format_dense,
+    format_factor,
     format_generator,
     parse_dense,
     parse_factor,
@@ -38,6 +41,32 @@ def test_generator_roundtrip_17_digits(tmp_path):
     path = tmp_path / "g.txt"
     write_generator(g, path)
     assert np.array_equal(read_generator(path).c, g.c)
+
+
+def test_formats_golden_text():
+    # -0.0 keeps its sign, 17 digits survive, integers print as floats;
+    # the transposed matrix and the strided column are not contiguous.
+    g = TbtGenerator(2, 2, np.array([
+        [0.5, 4.0, 0.5],
+        [complex(-0.0, 0.1), 0.12345678901234567 - 3.0j, 1e-17 + 2j]]))
+    assert format_generator(g) == (
+        "2 2\n"
+        "0.5 0.0 4.0 0.0 0.5 0.0\n"
+        "-0.0 0.1 0.12345678901234566 -3.0 1e-17 2.0\n")
+    a = np.array([[2.0, complex(0.0, 0.30000000000000004)],
+                  [complex(-0.0, -0.30000000000000004), 1e22]]).T
+    assert format_dense(a) == (
+        "2\n"
+        "2.0 0.0 -0.0 -0.30000000000000004\n"
+        "0.0 0.30000000000000004 1e+22 0.0\n")
+    coeff = np.array([1.0, 7.0, complex(-0.0, -0.1)])[::2]
+    cols = [BandVector(2, 0, 1, coeff), BandVector(2, 1, 1, [1])]
+    f = InverseFactor(2, cols, np.array([2.0, 0.30000000000000004]))
+    assert format_factor(f) == (
+        "2\n"
+        "0 1 1.0 0.0 -0.0 -0.1\n"
+        "1 1 1.0 0.0\n"
+        "2.0 0.30000000000000004\n")
 
 
 def test_generator_comments_and_errors():

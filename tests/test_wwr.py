@@ -91,6 +91,19 @@ def test_block_operation_count_structure():
             assert model <= 1.5 * measured
 
 
+@pytest.mark.parametrize("n1,n2,seed,want", [
+    (1, 5, 6, (16, 0, 4)),
+    (3, 4, 2, (312, 231, 36)),
+    (4, 6, 5, (1910, 1510, 110)),
+])
+def test_block_operation_count_exact(n1, n2, seed, want):
+    # The block solves are charged the cost of an LU with partial
+    # pivoting plus one forward and back substitution per column.
+    counter = OpCounter()
+    wwr_recurse(generate_pd_tbt(n1, n2, seed), counter)
+    assert (counter.mul, counter.add, counter.div) == want
+
+
 def test_needs_two_block_orders():
     with pytest.raises(ValueError):
         wwr_recurse(identity_generator(2, 1))
