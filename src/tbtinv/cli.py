@@ -27,7 +27,7 @@ from .fast import fetch, tbt_factorization, tbt_grc
 from .instances import generate_pd_tbt
 from .oracle import build_factorization, entry_deviation, grc_full, \
     inverse_dense
-from .wwr import normal_system, wwr_recurse, wwr_residual
+from .wwr import WwrState, normal_system, wwr_recurse, wwr_residual
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -85,11 +85,16 @@ def run_verify(g: TbtGenerator,
                   / np.sqrt(n))
     wwr_rel = None
     if g.n2 >= 2:
-        states = wwr_recurse(g)
-        _, rhs = normal_system(g)
-        scale = float(np.linalg.norm(rhs))
-        wwr_rel = wwr_residual(g, states[-1]) / max(scale, 1.0)
+        _, wwr_rel = _wwr_residuals(g, wwr_recurse(g)[-1])
     return VerifyReport(dev, resid, wwr_rel, tolerance)
+
+
+def _wwr_residuals(g: TbtGenerator, final: WwrState) -> tuple[float, float]:
+    """Baseline normal-equation residual at the final order: absolute,
+    and relative to max(|rhs|_F, 1)."""
+    resid = wwr_residual(g, final)
+    _, rhs = normal_system(g)
+    return resid, resid / max(float(np.linalg.norm(rhs)), 1.0)
 
 
 class _UsageError(Exception):
@@ -103,8 +108,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    if not (value > 0.0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"{text} is not positive and finite")
     return value
 
 
@@ -174,9 +179,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_wwr(args: argparse.Namespace) -> int:
     g = fileio.read_generator(args.input)
     states = wwr_recurse(g)
-    resid = wwr_residual(g, states[-1])
-    _, rhs = normal_system(g)
-    rel = resid / max(float(np.linalg.norm(rhs)), 1.0)
+    resid, rel = _wwr_residuals(g, states[-1])
     parts = [fileio.format_dense(coeff) for coeff in states[-1].coeffs]
     with open(args.output, "w") as fh:
         fh.write("\n".join(parts))

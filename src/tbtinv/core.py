@@ -130,32 +130,24 @@ class TbtGenerator:
         """Generator value c(d, s), d in [0, n2), s in (-n1, n1)."""
         return complex(self.c[d, s + self.n1 - 1])
 
-    def entry(self, i: int, j: int) -> complex:
-        """Matrix entry (i, j)."""
-        return tbt_entry(self, i, j)
-
 
 def tbt_entry(g: TbtGenerator, i: int, j: int) -> complex:
-    """Entry (i, j) of the TBT matrix described by ``g``.
-
-    The entry is looked up by block offset and within-block offset; a
-    negative block offset is served through the Hermitian mirror.
-    """
+    """Entry (i, j) of the TBT matrix described by ``g``."""
     n = g.n
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"entry ({i}, {j}) outside a {n} x {n} matrix")
-    d = (sec_op(j, g.n1) - sec_op(i, g.n1)) // g.n1
-    s = mod_op(j, g.n1) - mod_op(i, g.n1)
-    if d >= 0:
-        return complex(g.c[d, s + g.n1 - 1])
-    return complex(np.conj(g.c[-d, -s + g.n1 - 1]))
+    (bi, wi), (bj, wj) = divmod(i, g.n1), divmod(j, g.n1)
+    return complex(_lookup(g, bj - bi, wj - wi))
 
 
-def _lookup(g: TbtGenerator, d: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Entries at block offsets ``d`` and within-block offsets ``s``.
+def _lookup(g: TbtGenerator, d: int | np.ndarray,
+            s: int | np.ndarray) -> np.ndarray:
+    """Matrix entries at block offsets ``d`` and within-block offsets ``s``.
 
-    Entry for entry the same lookup as :func:`tbt_entry`, done on index
-    arrays.
+    The one place where the generator becomes matrix entries: c(d, s) is
+    read directly for d >= 0, and a negative block offset is served
+    through the Hermitian mirror c(d, s) = conj c(-d, -s).  ``d`` and
+    ``s`` are integers or broadcastable integer arrays.
     """
     neg = d < 0
     vals = g.c[np.abs(d), np.where(neg, -s, s) + g.n1 - 1]

@@ -19,7 +19,7 @@ from .core import DomainError
 
 @dataclass
 class CostReport:
-    """One row of the comparison sweep, plus an optional measured count."""
+    """One row of the comparison sweep."""
 
     n1: int
     n2: int
@@ -27,7 +27,6 @@ class CostReport:
     opc15: float
     opcwwr14: float
     ratio: float
-    measured_mul: int | None = None
 
 
 def opc_triple_sum(n1: int, n2: int, c1: float) -> float:

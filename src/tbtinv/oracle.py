@@ -23,7 +23,6 @@ from .core import (
     NotPositiveDefinite,
     NumericalBreakdown,
     OpCounter,
-    band_to_dense,
     column_inner,
     conj_band,
     unit_band,
@@ -180,13 +179,16 @@ def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
 
     Each scalar and each polynomial is compared relative to the larger of
     1 and the magnitude of ``want``; the worst of the six is returned.
+    Polynomials with different support windows are infinitely apart.
     """
     devs = [abs(x - y) / max(1.0, abs(y)) for x, y in
             ((got.a, want.a), (got.ap, want.ap), (got.v, want.v),
              (got.vp, want.vp))]
     for x, y in ((got.p, want.p), (got.q, want.q)):
-        dx, dy = band_to_dense(x), band_to_dense(y)
-        devs.append(np.max(np.abs(dx - dy)) / max(1.0, np.max(np.abs(dy))))
+        if (x.lo, x.hi) != (y.lo, y.hi):
+            return float("inf")
+        devs.append(np.max(np.abs(x.coeff - y.coeff))
+                    / max(1.0, np.max(np.abs(y.coeff))))
     return float(max(devs))
 
 

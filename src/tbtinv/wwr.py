@@ -11,9 +11,11 @@ single prediction-error matrix drive the recursion; the tracked matrix is
 the backward prediction error, whose inverse the reflection step needs.
 
 This module is a comparison baseline and shares no solver code with the
-reflection-coefficient modules.  R_0 and every updated prediction-error
-block pass one eigenvalue test (``_require_pd``) before anything is
-solved against them, so each small Hermitian system handed to LAPACK
+reflection-coefficient modules; like them, it reads the matrix only
+through the generator lookup in ``core``, for its blocks and for the
+dense normal system.  R_0 and every updated prediction-error block pass
+one eigenvalue test (``_require_pd``) before anything is solved against
+them, so each small Hermitian system handed to LAPACK
 (``numpy.linalg.solve``) has a condition number below 1/``PIVOT_TOL``;
 the operation counter charges the closed-form cost of an LU solve.
 """
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NotPositiveDefinite, OpCounter, SingularP, TbtGenerator
+from .core import NotPositiveDefinite, OpCounter, SingularP, TbtGenerator, \
+    _lookup, assemble_dense
 
 # A smallest eigenvalue at or below this fraction of the block's norm
 # counts as singular.
@@ -41,14 +44,9 @@ class WwrState:
 
 
 def block(g: TbtGenerator, d: int) -> np.ndarray:
-    """Block d of the first block row (d < 0 via the Hermitian mirror)."""
-    if d < 0:
-        return block(g, -d).conj().T
-    n1 = g.n1
-    out = np.empty((n1, n1), dtype=complex)
-    for u in range(n1):
-        out[u, :] = g.c[d, n1 - 1 - u:2 * n1 - 1 - u]
-    return out
+    """Block d of the first block row: entry (u, v) is c(d, v - u)."""
+    u = np.arange(g.n1)
+    return _lookup(g, d, u[None, :] - u[:, None])
 
 
 def flip_conj(a: np.ndarray) -> np.ndarray:
@@ -128,8 +126,7 @@ def wwr_recurse(g: TbtGenerator,
         p = p + _matmul(flip_conj(a_new), delta, counter)
         _require_pd(p, order)
         coeffs = updated
-        states.append(WwrState(order, [c.copy() for c in coeffs], p.copy(),
-                               delta))
+        states.append(WwrState(order, coeffs, p, delta))
     return states
 
 
@@ -139,15 +136,9 @@ def normal_system(g: TbtGenerator):
     The right-hand side carries the minus sign of the normal equations:
     the coefficients of a perfect solve satisfy  A . big_R = -[R_1 .. ].
     """
-    n1, n2 = g.n1, g.n2
-    m = n2 - 1
-    big = np.empty((m * n1, m * n1), dtype=complex)
-    for row in range(m):
-        for col in range(m):
-            big[row * n1:(row + 1) * n1, col * n1:(col + 1) * n1] = \
-                block(g, col - row)
-    rhs = -np.hstack([block(g, d) for d in range(1, n2)])
-    return big, rhs
+    m = (g.n2 - 1) * g.n1
+    r = assemble_dense(g)
+    return r[:m, :m], -r[:g.n1, g.n1:]
 
 
 def wwr_residual(g: TbtGenerator, final: WwrState) -> float:

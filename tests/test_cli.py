@@ -170,11 +170,12 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["gen", "--n1", "2"]) == EXIT_USAGE
     assert main(["invert", "--input", str(tmp_path / "missing.txt"),
                  "--output", str(tmp_path / "x.txt")]) == EXIT_USAGE
-    assert main(["gen", "--n1", "2", "--n2", "2", "--ridge", "-1",
-                 "--output", str(tmp_path / "g.txt")]) == EXIT_USAGE
+    for ridge in ("-1", "inf"):
+        assert main(["gen", "--n1", "2", "--n2", "2", "--ridge", ridge,
+                     "--output", str(tmp_path / "g.txt")]) == EXIT_USAGE
     valid = tmp_path / "valid.txt"
     write_generator(identity_generator(2, 2), valid)
-    for tol in ("0", "-1"):
+    for tol in ("0", "-1", "inf"):
         assert main(["verify", "--input", str(valid),
                      "--tolerance", tol]) == EXIT_USAGE
     capsys.readouterr()

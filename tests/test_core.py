@@ -20,6 +20,7 @@ from tbtinv import (
     tbt_entry,
     unit_band,
 )
+from tbtinv.wwr import block, normal_system
 from conftest import identity_generator, random_generator
 
 
@@ -257,3 +258,14 @@ def test_column_accessor_matches_dense(n1, n2, seed, data):
         lo = data.draw(st.integers(0, g.n - 1))
         hi = data.draw(st.integers(lo, g.n - 1))
         assert np.array_equal(m(slice(lo, hi + 1), j), r[lo:hi + 1, j])
+    for i in range(g.n):
+        for j in range(g.n):
+            assert tbt_entry(g, i, j) == r[i, j]
+    for d in range(1 - n2, n2):
+        row, col = max(-d, 0) * n1, max(d, 0) * n1
+        assert np.array_equal(block(g, d), r[row:row + n1, col:col + n1])
+    if n2 >= 2:
+        big, rhs = normal_system(g)
+        k = (n2 - 1) * n1
+        assert np.array_equal(big, r[:k, :k])
+        assert np.array_equal(rhs, -r[:n1, n1:])

@@ -8,6 +8,7 @@ import tbtinv.core
 import tbtinv.fast
 import tbtinv.oracle
 from tbtinv import (
+    BandVector,
     CanonicalTables,
     InternalIndexError,
     NotPositiveDefinite,
@@ -89,6 +90,11 @@ def test_fetch_exhaustive_oracle_sweep():
     for k in range(6):
         for l in range(k, 6):
             assert entry_deviation(fetch(t, k, l), oracle.get(k, l)) <= 1e-10
+    # A support window that differs from the reference's is an index
+    # error even where the extra coefficient is zero.
+    want = oracle.get(0, 2)
+    wide = BandVector(6, want.q.lo, want.q.hi + 1, np.append(want.q.coeff, 0))
+    assert entry_deviation(want._replace(q=wide), want) == math.inf
 
 
 def test_fetch_stored_passthrough():
