@@ -73,27 +73,28 @@ def run_verify(g: TbtGenerator,
     backward-stable solver can promise on R.
     """
     n = g.n
-    reference = grc_full(assemble_dense(g))
+    r = assemble_dense(g)
+    reference = grc_full(r)
     if tolerance is None:
-        cond = float(np.linalg.cond(reference.matrix))
+        cond = float(np.linalg.cond(r))
         tolerance = max(1e-8, cond * n * np.finfo(float).eps)
     tables = tbt_grc(g)
     dev = max(entry_deviation(fetch(tables, k, l), reference.get(k, l))
               for k in range(n) for l in range(k, n))
-    inverse = inverse_dense(tbt_factorization(g))
-    resid = float(np.linalg.norm(reference.matrix @ inverse - np.eye(n))
-                  / np.sqrt(n))
+    inverse = inverse_dense(tbt_factorization(g, tables=tables))
+    resid = float(np.linalg.norm(r @ inverse - np.eye(n)) / np.sqrt(n))
     wwr_rel = None
     if g.n2 >= 2:
-        _, wwr_rel = _wwr_residuals(g, wwr_recurse(g)[-1])
+        _, wwr_rel = _wwr_residuals(g, wwr_recurse(g)[-1], r)
     return VerifyReport(dev, resid, wwr_rel, tolerance)
 
 
-def _wwr_residuals(g: TbtGenerator, final: WwrState) -> tuple[float, float]:
+def _wwr_residuals(g: TbtGenerator, final: WwrState,
+                   r: np.ndarray) -> tuple[float, float]:
     """Baseline normal-equation residual at the final order: absolute,
-    and relative to max(|rhs|_F, 1)."""
-    resid = wwr_residual(g, final)
-    _, rhs = normal_system(g)
+    and relative to max(|rhs|_F, 1).  ``r`` is the dense matrix of ``g``."""
+    resid = wwr_residual(g, final, r)
+    _, rhs = normal_system(g, r)
     return resid, resid / max(float(np.linalg.norm(rhs)), 1.0)
 
 
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="half-table solver or dense reference recursion")
     inv.add_argument("--output", required=True, help="dense inverse path")
     inv.add_argument("--factor", default=None,
-                     help="also write the banded factor here")
+                     help="also write the triangular factor here")
     inv.add_argument("--counter", action="store_true",
                      help="print the operation-count summary line")
 
@@ -179,7 +180,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_wwr(args: argparse.Namespace) -> int:
     g = fileio.read_generator(args.input)
     states = wwr_recurse(g)
-    resid, rel = _wwr_residuals(g, states[-1])
+    resid, rel = _wwr_residuals(g, states[-1], assemble_dense(g))
     parts = [fileio.format_dense(coeff) for coeff in states[-1].coeffs]
     with open(args.output, "w") as fh:
         fh.write("\n".join(parts))

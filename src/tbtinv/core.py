@@ -126,10 +126,6 @@ class TbtGenerator:
     def n(self) -> int:
         return self.n1 * self.n2
 
-    def value(self, d: int, s: int) -> complex:
-        """Generator value c(d, s), d in [0, n2), s in (-n1, n1)."""
-        return complex(self.c[d, s + self.n1 - 1])
-
 
 def tbt_entry(g: TbtGenerator, i: int, j: int) -> complex:
     """Entry (i, j) of the TBT matrix described by ``g``."""

@@ -132,12 +132,24 @@ def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
     return e
 
 
-def tbt_factorization(g: TbtGenerator,
-                      counter: OpCounter | None = None) -> InverseFactor:
+def _full_width(t: CanonicalTables) -> list:
+    """The ``(p, vp)`` pairs of the full-width cells (k, n-1), k = 0 ..
+    n-1: all that :func:`~tbtinv.oracle.assemble_factor` needs of the
+    tables."""
+    n = t.g.n
+    return [(e.p, e.vp) for e in (fetch(t, k, n - 1) for k in range(n))]
+
+
+def tbt_factorization(g: TbtGenerator, counter: OpCounter | None = None, *,
+                      tables: CanonicalTables | None = None) -> InverseFactor:
     """Inverse factor of the TBT matrix from the half-table recursion.
 
     Matches the factor the dense reference recursion produces, but never
-    assembles the matrix.
+    assembles the matrix.  A caller that already holds ``tbt_grc(g)``
+    passes it as ``tables`` and the recursion is not run again.
+    Otherwise the tables are released once their full-width cells are
+    read, before the n x n factor is allocated, so the two are never held
+    at once.
     """
-    t = tbt_grc(g, counter)
-    return assemble_factor(g.n, lambda k, l: fetch(t, k, l))
+    cells = _full_width(tables if tables is not None else tbt_grc(g, counter))
+    return assemble_factor(cells)

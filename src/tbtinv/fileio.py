@@ -8,14 +8,15 @@ write/read cycle is value-exact.
 generator file   line 1: ``n1 n2``; then n2 lines, line d holding the
                  2*n1-1 values c(d, s) for s = -(n1-1) .. n1-1.
 dense file       line 1: ``n``; then n rows of n ``re im`` pairs.
-factor file      line 1: ``n``; then n column lines ``lo hi re im ...``
-                 (column k is supported on [k, n-1]); final line: the n
-                 positive diagonal values.
+factor file      line 1: ``n``; then n column lines ``k n-1 re im ...``
+                 holding column k of the unit-lower-triangular factor on
+                 its support [k, n-1]; final line: the n positive
+                 diagonal values.
 """
 
 import numpy as np
 
-from .core import BandVector, TbtGenerator
+from .core import TbtGenerator
 from .oracle import InverseFactor
 
 
@@ -84,10 +85,15 @@ def read_generator(path) -> TbtGenerator:
         return parse_generator(fh.read())
 
 
-def format_dense(a: np.ndarray) -> str:
+def _dense_lines(a: np.ndarray):
     a = np.asarray(a, dtype=complex)
-    lines = [str(a.shape[0])] + [_row(row) for row in a]
-    return "\n".join(lines) + "\n"
+    yield str(a.shape[0])
+    for row in a:
+        yield _row(row)
+
+
+def format_dense(a: np.ndarray) -> str:
+    return "\n".join(_dense_lines(a)) + "\n"
 
 
 def parse_dense(text: str) -> np.ndarray:
@@ -107,8 +113,10 @@ def parse_dense(text: str) -> np.ndarray:
 
 
 def write_dense(a: np.ndarray, path) -> None:
+    """Write ``format_dense(a)`` one row at a time, so the whole text is
+    never held in memory."""
     with open(path, "w") as fh:
-        fh.write(format_dense(a))
+        fh.writelines(line + "\n" for line in _dense_lines(a))
 
 
 def read_dense(path) -> np.ndarray:
@@ -117,8 +125,9 @@ def read_dense(path) -> np.ndarray:
 
 
 def format_factor(f: InverseFactor) -> str:
-    lines = [str(f.n)]
-    lines += [f"{col.lo} {col.hi} {_row(col.coeff)}" for col in f.columns]
+    n = f.n
+    lines = [str(n)]
+    lines += [f"{k} {n - 1} {_row(f.lower[k:, k])}" for k in range(n)]
     lines.append(_row(f.diag))
     return "\n".join(lines) + "\n"
 
@@ -134,17 +143,18 @@ def parse_factor(text: str) -> InverseFactor:
     if len(lines) != 2 + n:
         raise ValueError(f"factor file: expected {n} column lines plus a "
                          f"diagonal line")
-    columns = []
+    lower = np.zeros((n, n), dtype=complex)
     for k in range(n):
         parts = lines[1 + k].split()
         if len(parts) < 2:
             raise ValueError(f"factor column {k}: missing support bounds")
-        lo, hi = int(parts[0]), int(parts[1])
-        coeff = _complex_row(" ".join(parts[2:]), hi - lo + 1,
-                             f"factor column {k}")
-        columns.append(BandVector(n, lo, hi, coeff))
+        if (int(parts[0]), int(parts[1])) != (k, n - 1):
+            raise ValueError(f"factor column {k} must be supported on "
+                             f"[{k}, {n - 1}]")
+        lower[k:, k] = _complex_row(" ".join(parts[2:]), n - k,
+                                    f"factor column {k}")
     diag = _floats(lines[1 + n], n, "factor diagonal")
-    return InverseFactor(n, columns, np.asarray(diag, dtype=float))
+    return InverseFactor(lower, np.asarray(diag, dtype=float))
 
 
 def write_factor(f: InverseFactor, path) -> None:

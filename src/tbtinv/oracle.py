@@ -8,8 +8,11 @@ the inverse factorization
 
     R^-1 = F . diag(d)^-1 . F^H
 
-where F is unit lower triangular with banded columns.  This module is the
-brute-force yardstick the fast TBT solver is checked against.
+where F is unit lower triangular, kept as one dense n x n array whose
+column k is the conjugated full-width forward polynomial p(k, n-1).  So
+applying R^-1 to a vector is two matrix-vector products, and the dense
+inverse is one matrix product.  This module is the brute-force yardstick
+the fast TBT solver is checked against.
 """
 
 from dataclasses import dataclass
@@ -20,11 +23,11 @@ import numpy as np
 from .core import (
     BandVector,
     FactorizationMismatch,
+    InternalIndexError,
     NotPositiveDefinite,
     NumericalBreakdown,
     OpCounter,
     column_inner,
-    conj_band,
     unit_band,
     validate_hermitian,
 )
@@ -71,30 +74,46 @@ class CoeffTables:
 
 @dataclass
 class InverseFactor:
-    """Banded unit-lower-triangular factor and positive diagonal of R^-1.
+    """Unit-lower-triangular factor and positive diagonal of R^-1.
 
-    Column k is supported on [k, n-1] with unit head; applying the inverse
-    is F . diag^-1 . F^H acting on a vector in three banded passes.
+    ``lower`` is the dense n x n factor F: column k holds its coefficients
+    on [k, n-1] with a unit head, and everything above the diagonal is
+    zero.  Applying the inverse is F . diag^-1 . F^H, two matrix-vector
+    products.  Both arrays are read-only once checked.
     """
 
-    n: int
-    columns: list
+    lower: np.ndarray
     diag: np.ndarray
 
     def __post_init__(self):
+        lower = np.asarray(self.lower, dtype=complex)
         diag = np.asarray(self.diag, dtype=float)
-        if len(self.columns) != self.n or diag.shape != (self.n,):
-            raise ValueError("factor needs one column and one diagonal "
-                             "entry per index")
+        if diag.ndim != 1 or lower.shape != 2 * diag.shape:
+            raise ValueError("factor needs a square array and one diagonal "
+                             "entry per column")
+        n = diag.shape[0]
         if not np.all(diag > 0.0):
             raise ValueError("factor diagonal must be strictly positive")
-        for k, col in enumerate(self.columns):
-            if col.lo != k or col.hi != self.n - 1:
-                raise ValueError(f"column {k} must be supported on "
-                                 f"[{k}, {self.n - 1}]")
-            if abs(col.coeff[0] - 1.0) > 1e-12:
-                raise ValueError(f"column {k} must have unit head")
+        heads = np.flatnonzero(np.abs(np.diagonal(lower) - 1.0) > 1e-12)
+        if heads.size:
+            raise ValueError(f"column {heads[0]} must have unit head")
+        # Row by row and in row blocks, so no check allocates an n x n
+        # temporary next to the factor.
+        for k in range(n):
+            if lower[k, k + 1:].any():
+                raise ValueError(f"factor row {k} must be zero above the "
+                                 f"diagonal")
+        for i in range(0, n, 64):
+            if not np.isfinite(lower[i:i + 64]).all():
+                raise ValueError("factor entries must be finite")
+        lower.flags.writeable = False
+        diag.flags.writeable = False
+        object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "diag", diag)
+
+    @property
+    def n(self) -> int:
+        return self.diag.shape[0]
 
 
 def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
@@ -192,21 +211,26 @@ def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
     return float(max(devs))
 
 
-def assemble_factor(n: int, get) -> InverseFactor:
-    """Inverse factor from the full-width cells ``get(k, n-1)``.
+def assemble_factor(cells: list) -> InverseFactor:
+    """Inverse factor from the full-width cells (k, n-1), k = 0 .. n-1,
+    given as their ``(p, vp)`` pairs.
 
-    The stored columns are the conjugates of the full-width forward
-    polynomials, which makes both the inverse product F diag^-1 F^H and
-    the diagonality of F^H R F hold literally; the diagonal holds the
-    head residuals.
+    Column k is the conjugate of the full-width forward polynomial p,
+    which makes both the inverse product F diag^-1 F^H and the
+    diagonality of F^H R F hold literally; the diagonal holds the head
+    residuals.
     """
-    columns = []
+    n = len(cells)
+    lower = np.zeros((n, n), dtype=complex)
     diag = np.empty(n, dtype=float)
-    for k in range(n):
-        e = get(k, n - 1)
-        columns.append(conj_band(e.p))
-        diag[k] = e.vp
-    return InverseFactor(n, columns, diag)
+    for k, (p, vp) in enumerate(cells):
+        if p.lo != k or p.hi != n - 1:
+            raise InternalIndexError(
+                f"full-width cell {k} has support [{p.lo}, {p.hi}], not "
+                f"[{k}, {n - 1}]")
+        np.conj(p.coeff, out=lower[k:, k])
+        diag[k] = vp
+    return InverseFactor(lower, diag)
 
 
 def build_factorization(t: CoeffTables) -> InverseFactor:
@@ -219,13 +243,14 @@ def build_factorization(t: CoeffTables) -> InverseFactor:
     stays below 2% of it.  So a mismatch means the recursion is broken,
     not that the input is bad.
     """
-    f = assemble_factor(t.n, t.get)
+    f = assemble_factor([(e.p, e.vp) for e in
+                         (t.get(k, t.n - 1) for k in range(t.n))])
     R = t.matrix
     rounding = t.n * np.finfo(float).eps * np.linalg.norm(R)
-    for k, col in enumerate(f.columns):
-        seg = R[col.lo:col.hi + 1, col.lo:col.hi + 1] @ col.coeff
-        direct = np.vdot(col.coeff, seg)
-        bound = rounding * np.vdot(col.coeff, col.coeff).real
+    for k in range(t.n):
+        col = f.lower[k:, k]
+        direct = np.vdot(col, R[k:, k:] @ col)
+        bound = rounding * np.vdot(col, col).real
         if abs(direct - f.diag[k]) > bound:
             raise FactorizationMismatch(
                 f"diagonal entry {k}: recursion value {f.diag[k]!r} vs "
@@ -235,24 +260,23 @@ def build_factorization(t: CoeffTables) -> InverseFactor:
 
 
 def apply_inverse(f: InverseFactor, b) -> np.ndarray:
-    """Apply R^-1 to a vector as three support-exploiting passes."""
+    """Apply R^-1 = F diag^-1 F^H to a vector: two matrix-vector products.
+
+    F^H b is computed as conj(conj(b) F), which reads F in place instead
+    of copying its n^2 entries into a conjugate transpose.
+    """
     b = np.asarray(b, dtype=complex)
     if b.shape != (f.n,):
         raise ValueError(f"vector length {b.shape} does not match n={f.n}")
-    y = np.empty(f.n, dtype=complex)
-    for k, col in enumerate(f.columns):
-        y[k] = np.vdot(col.coeff, b[col.lo:col.hi + 1])
-    y /= f.diag
-    x = np.zeros(f.n, dtype=complex)
-    for k, col in enumerate(f.columns):
-        x[col.lo:col.hi + 1] += y[k] * col.coeff
-    return x
+    y = np.conj(np.conj(b) @ f.lower) / f.diag
+    return f.lower @ y
 
 
 def inverse_dense(f: InverseFactor) -> np.ndarray:
-    """Materialize the full inverse matrix (Hermitian after symmetrizing)."""
-    x = np.zeros((f.n, f.n), dtype=complex)
-    for k, col in enumerate(f.columns):
-        x[col.lo:col.hi + 1, col.lo:col.hi + 1] += (
-            np.outer(col.coeff, np.conj(col.coeff)) / f.diag[k])
-    return 0.5 * (x + x.conj().T)
+    """Materialize the full inverse H H^H, H = F diag^-1/2, as one matrix
+    product; exactly Hermitian after symmetrizing."""
+    h = f.lower / np.sqrt(f.diag)
+    x = h @ h.conj().T
+    x += x.conj().T
+    x *= 0.5
+    return x

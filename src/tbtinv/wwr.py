@@ -130,21 +130,26 @@ def wwr_recurse(g: TbtGenerator,
     return states
 
 
-def normal_system(g: TbtGenerator):
+def normal_system(g: TbtGenerator, r: np.ndarray | None = None):
     """Dense block-Toeplitz system and right-hand side of the final order.
 
     The right-hand side carries the minus sign of the normal equations:
     the coefficients of a perfect solve satisfy  A . big_R = -[R_1 .. ].
+    Both are sections of the dense matrix of ``g``; a caller that already
+    holds it passes it as ``r``.
     """
     m = (g.n2 - 1) * g.n1
-    r = assemble_dense(g)
+    if r is None:
+        r = assemble_dense(g)
     return r[:m, :m], -r[:g.n1, g.n1:]
 
 
-def wwr_residual(g: TbtGenerator, final: WwrState) -> float:
-    """Frobenius norm of the normal-equation residual at the final order."""
+def wwr_residual(g: TbtGenerator, final: WwrState,
+                 r: np.ndarray | None = None) -> float:
+    """Frobenius norm of the normal-equation residual at the final order;
+    ``r`` is the dense matrix of ``g`` if the caller holds it."""
     if final.order != g.n2 - 1:
         raise ValueError("state is not at the final order")
-    big, rhs = normal_system(g)
+    big, rhs = normal_system(g, r)
     a_row = np.hstack(final.coeffs)
     return float(np.linalg.norm(a_row @ big - rhs))

@@ -125,7 +125,7 @@ def test_criterion_5_orthogonality_and_diagonality():
         r = random_hermitian_pd(n, seed)
         tables = grc_full(r)
         f = build_factorization(tables)
-        cols = np.column_stack([band_to_dense(c) for c in f.columns])
+        cols = f.lower
         prod = cols.conj().T @ r @ cols
         off = prod - np.diag(np.diag(prod))
         worst_off = max(worst_off,

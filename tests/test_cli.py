@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import tbtinv.fast
+import tbtinv.wwr
 from tbtinv import FactorizationMismatch, InternalIndexError, \
     NumericalBreakdown, assemble_dense, gaussian_kernel, generate_pd_tbt
 from tbtinv import cli
@@ -187,6 +189,25 @@ def test_run_verify_identity():
     assert report.inverse_residual == 0.0
     assert report.wwr_relative_residual == 0.0
     assert report.passed
+
+
+def test_run_verify_builds_dense_matrix_and_tables_once(monkeypatch):
+    calls = {"assemble_dense": 0, "tbt_grc": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, tbtinv.wwr, tbtinv.fast):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    report = run_verify(generate_pd_tbt(2, 3, seed=8))
+    assert report.passed and report.wwr_relative_residual is not None
+    assert calls == {"assemble_dense": 1, "tbt_grc": 1}
 
 
 def test_run_verify_single_block():

@@ -74,7 +74,7 @@ def test_mod_sec_complement_identities():
 def test_tbt_entry_diagonal_constant():
     g = random_generator(3, 2, seed=0)
     for i in range(g.n):
-        assert tbt_entry(g, i, i) == g.value(0, 0)
+        assert tbt_entry(g, i, i) == g.c[0, g.n1 - 1]
 
 
 def test_tbt_entry_identity_offdiagonal():
@@ -89,7 +89,7 @@ def _block(g, d):
     out = np.empty((g.n1, g.n1), dtype=complex)
     for u in range(g.n1):
         for w in range(g.n1):
-            out[u, w] = g.value(d, w - u)
+            out[u, w] = g.c[d, w - u + g.n1 - 1]
     return out
 
 

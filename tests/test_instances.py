@@ -60,7 +60,7 @@ def test_gaussian_kernel_values_and_conditioning():
     g = gaussian_kernel(3, 2, 1.5)
     for d in range(2):
         for s in range(-2, 3):
-            assert g.value(d, s) == np.exp(-(d * d + s * s) / (2 * 1.5 ** 2))
+            assert g.c[d, s + 2] == np.exp(-(d * d + s * s) / (2 * 1.5 ** 2))
     r = assemble_dense(gaussian_kernel(8, 8, 2.0))
     assert np.linalg.cond(r) > 1e9
     assert np.min(np.linalg.eigvalsh(r)) > 0.0

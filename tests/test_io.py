@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tbtinv import BandVector, InverseFactor, TbtGenerator, assemble_dense, \
+from tbtinv import InverseFactor, TbtGenerator, assemble_dense, \
     generate_pd_tbt
 from tbtinv.fileio import (
     format_dense,
@@ -43,7 +43,7 @@ def test_generator_roundtrip_17_digits(tmp_path):
     assert np.array_equal(read_generator(path).c, g.c)
 
 
-def test_formats_golden_text():
+def test_formats_golden_text(tmp_path):
     # -0.0 keeps its sign, 17 digits survive, integers print as floats;
     # the transposed matrix and the strided column are not contiguous.
     g = TbtGenerator(2, 2, np.array([
@@ -59,9 +59,12 @@ def test_formats_golden_text():
         "2\n"
         "2.0 0.0 -0.0 -0.30000000000000004\n"
         "0.0 0.30000000000000004 1e+22 0.0\n")
-    coeff = np.array([1.0, 7.0, complex(-0.0, -0.1)])[::2]
-    cols = [BandVector(2, 0, 1, coeff), BandVector(2, 1, 1, [1])]
-    f = InverseFactor(2, cols, np.array([2.0, 0.30000000000000004]))
+    # The streamed file holds exactly the same bytes.
+    path = tmp_path / "a.txt"
+    write_dense(a, path)
+    assert path.read_bytes() == format_dense(a).encode()
+    lower = np.array([[1.0, 0.0], [complex(-0.0, -0.1), 1.0]])
+    f = InverseFactor(lower, np.array([2.0, 0.30000000000000004]))
     assert format_factor(f) == (
         "2\n"
         "0 1 1.0 0.0 -0.0 -0.1\n"
@@ -105,17 +108,16 @@ def test_dense_errors():
 
 
 def test_factor_roundtrip(tmp_path):
-    cols = [BandVector(3, 0, 2, np.array([1.0, -0.25 + 0.5j, 0.125])),
-            BandVector(3, 1, 2, np.array([1.0, 0.625 - 1j])),
-            BandVector(3, 2, 2, np.array([1.0]))]
-    f = InverseFactor(3, cols, np.array([0.75, 1.25, 2.0]))
+    lower = np.array([[1.0, 0.0, 0.0],
+                      [-0.25 + 0.5j, 1.0, 0.0],
+                      [0.125, 0.625 - 1j, 1.0]])
+    f = InverseFactor(lower, np.array([0.75, 1.25, 2.0]))
     path = tmp_path / "f.txt"
     write_factor(f, path)
     back = read_factor(path)
     assert back.n == 3
     assert np.array_equal(back.diag, f.diag)
-    for a, b in zip(back.columns, f.columns):
-        assert a == b
+    assert np.array_equal(back.lower, f.lower)
 
 
 def test_factor_errors():
@@ -125,3 +127,14 @@ def test_factor_errors():
         parse_factor("2\n0 1 1 0 0 0\n")  # missing second column + diag
     with pytest.raises(ValueError):
         parse_factor("1\n0\n1.0\n")  # column line too short
+    # Column lines whose support is not [k, n-1], with a matching count.
+    for columns in ("0 0 1 0\n1 1 1 0\n", "0 1 1 0 0 0\n0 0 1 0\n",
+                    "1 1 1 0\n1 1 1 0\n"):
+        with pytest.raises(ValueError, match="must be supported on"):
+            parse_factor("2\n" + columns + "1 1\n")
+    with pytest.raises(ValueError, match="unit head"):
+        parse_factor("2\n0 1 2 0 0 0\n1 1 1 0\n1 1\n")
+    with pytest.raises(ValueError, match="finite"):
+        parse_factor("2\n0 1 1 0 nan 0\n1 1 1 0\n1 1\n")
+    with pytest.raises(ValueError, match="positive"):
+        parse_factor("2\n0 1 1 0 0 0\n1 1 1 0\n1 0\n")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tbtinv import (
     CoeffTables,
     FactorizationMismatch,
+    InverseFactor,
     NotPositiveDefinite,
     apply_inverse,
     band_to_dense,
@@ -15,6 +17,7 @@ from tbtinv import (
     grc_full,
     grc_step,
     inverse_dense,
+    tbt_factorization,
     unit_band,
 )
 from conftest import random_hermitian_pd
@@ -167,22 +170,22 @@ def test_growth_factor_bounds():
 def test_build_factorization_identity():
     f = build_factorization(grc_full(np.eye(3, dtype=complex)))
     assert np.array_equal(f.diag, np.ones(3))
-    for k, col in enumerate(f.columns):
-        assert np.array_equal(band_to_dense(col), np.eye(3)[k].astype(complex))
+    for k in range(3):
+        assert np.array_equal(f.lower[:, k], np.eye(3)[k].astype(complex))
 
 
 def test_build_factorization_2x2():
     r = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
     f = build_factorization(grc_full(r))
-    assert np.array_equal(band_to_dense(f.columns[0]), [1.0, -0.5])
-    assert np.array_equal(band_to_dense(f.columns[1]), [0.0, 1.0])
+    assert np.array_equal(f.lower[:, 0], [1.0, -0.5])
+    assert np.array_equal(f.lower[:, 1], [0.0, 1.0])
     assert np.array_equal(f.diag, [0.75, 1.0])
 
 
 def test_factor_triple_product_diagonal():
     r = random_hermitian_pd(6, seed=17)
     f = build_factorization(grc_full(r))
-    cols = np.column_stack([band_to_dense(c) for c in f.columns])
+    cols = f.lower
     prod = cols.conj().T @ r @ cols
     off = prod - np.diag(np.diag(prod))
     assert np.max(np.abs(off)) <= 1e-10 * np.linalg.norm(r)
@@ -225,6 +228,39 @@ def test_apply_inverse_size_mismatch():
     f = build_factorization(grc_full(np.eye(3, dtype=complex)))
     with pytest.raises(ValueError):
         apply_inverse(f, np.ones(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.integers(1, 6), n2=st.integers(1, 6), seed=st.integers(0, 2**32))
+def test_apply_inverse_matches_explicit_product(n1, n2, seed):
+    f = tbt_factorization(generate_pd_tbt(n1, n2, seed))
+    b = np.random.default_rng(seed).normal(size=(f.n, 2)) @ [1, 1j]
+    want = f.lower @ np.diag(1.0 / f.diag) @ f.lower.conj().T @ b
+    got = apply_inverse(f, b)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    x = inverse_dense(f)
+    assert np.array_equal(x, x.conj().T)
+
+
+def test_inverse_factor_validation():
+    good = np.array([[1.0, 0.0], [0.5 - 0.25j, 1.0]])
+    diag = np.array([2.0, 0.5])
+    f = InverseFactor(good, diag)
+    assert f.n == 2 and not f.lower.flags.writeable
+    upper = good.copy()
+    upper[0, 1] = 1e-300
+    head = good.copy()
+    head[1, 1] = 1.0 + 1e-9
+    bad = [(np.ones((2, 3)), np.ones(2)),   # not square
+           (np.ones(2), np.ones(2)),        # not two-dimensional
+           (good, np.ones(3)),              # diagonal length
+           (upper, diag),                   # nonzero upper triangle
+           (head, diag),                    # non-unit head
+           (good, np.array([2.0, 0.0])),    # non-positive diagonal
+           (good, np.array([-1.0, 1.0]))]
+    for lower, d in bad:
+        with pytest.raises(ValueError):
+            InverseFactor(lower, d)
 
 
 def test_inverse_dense_identity_and_2x2():
