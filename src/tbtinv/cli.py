@@ -25,7 +25,7 @@ from .core import FactorizationMismatch, InternalIndexError, \
     TbtGenerator, assemble_dense
 from .fast import fetch, tbt_factorization, tbt_grc
 from .instances import generate_pd_tbt
-from .oracle import build_factorization, entry_deviation, grc_full, \
+from .oracle import build_factorization, cells_deviation, grc_full, \
     inverse_dense
 from .wwr import WwrState, normal_system, wwr_recurse, wwr_residual
 
@@ -66,11 +66,11 @@ def run_verify(g: TbtGenerator,
                tolerance: float | None = None) -> VerifyReport:
     """Cross-check the fast solver, reference recursion and baseline.
 
-    Compares every fetched table tuple against the dense reference,
-    measures the materialized-inverse residual, and (for n2 >= 2) the
-    baseline's normal-equation residual.  Without a tolerance, every
-    check must hold to max(1e-8, cond(R) * n * eps), the accuracy a
-    backward-stable solver can promise on R.
+    Compares every fetched table tuple against the dense reference, one
+    distance at a time, measures the materialized-inverse residual, and
+    (for n2 >= 2) the baseline's normal-equation residual.  Without a
+    tolerance, every check must hold to max(1e-8, cond(R) * n * eps), the
+    accuracy a backward-stable solver can promise on R.
     """
     n = g.n
     r = assemble_dense(g)
@@ -79,8 +79,9 @@ def run_verify(g: TbtGenerator,
         cond = float(np.linalg.cond(r))
         tolerance = max(1e-8, cond * n * np.finfo(float).eps)
     tables = tbt_grc(g)
-    dev = max(entry_deviation(fetch(tables, k, l), reference.get(k, l))
-              for k in range(n) for l in range(k, n))
+    dev = max(cells_deviation([fetch(tables, k, k + w) for k in range(n - w)],
+                              [reference.get(k, k + w) for k in range(n - w)])
+              for w in range(n))
     inverse = inverse_dense(tbt_factorization(g, tables=tables))
     resid = float(np.linalg.norm(r @ inverse - np.eye(n)) / np.sqrt(n))
     wwr_rel = None

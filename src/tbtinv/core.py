@@ -193,13 +193,14 @@ def validate_hermitian(a: np.ndarray, tol: float = 0.0) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class BandVector:
     """Length-n coefficient vector that is zero outside [lo, hi].
 
     Only the support window is stored; every operation on band vectors
     costs time proportional to the window, which is what gives the fast
-    recursion its complexity bound.
+    recursion its complexity bound.  The coefficients are a finite,
+    read-only complex array.
     """
 
     n: int
@@ -231,9 +232,44 @@ class BandVector:
         return self.hi - self.lo + 1
 
 
+# Slot setters: they fill a bare instance without the frozen dataclass's
+# __setattr__ and __post_init__.
+_new_band = object.__new__
+_set_n, _set_lo, _set_hi, _set_coeff = (
+    BandVector.__dict__[name].__set__ for name in ("n", "lo", "hi", "coeff"))
+
+
+def _band(n: int, lo: int, hi: int, coeff: np.ndarray) -> BandVector:
+    """BandVector for the recursion's own builders, without the value checks.
+
+    The caller guarantees that ``coeff`` is a finite, read-only 1-D
+    complex array: :func:`~tbtinv.oracle.grc_step` checks each polynomial
+    it creates once and freezes it, :func:`unit_band` builds a constant,
+    and :func:`shift` and the mirror reconstruction reuse, or conjugate
+    and freeze, such an array.  Only the integer invariants are checked
+    here: 0 <= lo <= hi <= n-1 and one coefficient per support index.  A
+    failure is an index derivation gone wrong, so it raises
+    :class:`InternalIndexError`.
+    """
+    if not (0 <= lo <= hi <= n - 1) or len(coeff) != hi - lo + 1:
+        raise InternalIndexError(
+            f"support [{lo}, {hi}] with {len(coeff)} coefficients invalid "
+            f"for length {n}")
+    v = _new_band(BandVector)
+    _set_n(v, n)
+    _set_lo(v, lo)
+    _set_hi(v, hi)
+    _set_coeff(v, coeff)
+    return v
+
+
+_ONE = np.ones(1, dtype=complex)
+_ONE.setflags(write=False)
+
+
 def unit_band(n: int, k: int) -> BandVector:
     """The canonical basis vector e_k as a band vector."""
-    return BandVector(n, k, k, np.ones(1, dtype=complex))
+    return _band(n, k, k, _ONE)
 
 
 def shift(v: BandVector, t: int) -> BandVector:
@@ -241,16 +277,12 @@ def shift(v: BandVector, t: int) -> BandVector:
 
     Equivalent to multiplying by the t-th power of the down-shift matrix.
     The support must stay inside [0, n-1]; leaving it means an index
-    derivation elsewhere is wrong, so that is reported as an internal
-    error rather than a value error.
+    derivation elsewhere is wrong, so :func:`_band` reports it as an
+    internal error rather than a value error.
     """
     if t == 0:
         return v
-    if v.lo + t < 0 or v.hi + t > v.n - 1:
-        raise InternalIndexError(
-            f"shift by {t} pushes support [{v.lo}, {v.hi}] out of range "
-            f"for length {v.n}")
-    return BandVector(v.n, v.lo + t, v.hi + t, v.coeff)
+    return _band(v.n, v.lo + t, v.hi + t, v.coeff)
 
 
 def reverse_support(v: BandVector) -> BandVector:

@@ -18,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BandVector,
     InternalIndexError,
     OpCounter,
     TbtGenerator,
+    _band,
     column_accessor,
     index_exchange,
-    mod_op,
-    sec_op,
     shift,
     unit_band,
 )
@@ -56,6 +54,17 @@ def storage_condition(k: int, l: int, n1: int) -> bool:
     return k < n1 and k <= index_exchange(k, l, n1)[0]
 
 
+def _canonical_rows(n1: int) -> list:
+    """``rows[w % n1]`` lists, ascending, the rows k < n1 whose pair
+    (k, k + w) at distance w >= 1 is stored.
+
+    The mirror of (k, k + w) depends on w only through w mod n1, so n1
+    applications of :func:`storage_condition` serve every distance.
+    """
+    return [[k for k in range(n1) if storage_condition(k, k + n1 + r, n1)]
+            for r in range(n1)]
+
+
 def _mirrored(e: GrcEntry, dk: int) -> GrcEntry:
     """Values at a pair from its stored mirror entry; dk = k - k_mirror.
 
@@ -64,7 +73,9 @@ def _mirrored(e: GrcEntry, dk: int) -> GrcEntry:
     conjugate of its partner.
     """
     def reflect(x):
-        return BandVector(x.n, x.lo + dk, x.hi + dk, np.conj(x.coeff[::-1]))
+        coeff = np.conj(x.coeff[::-1])
+        coeff.setflags(write=False)
+        return _band(x.n, x.lo + dk, x.hi + dk, coeff)
 
     return GrcEntry(np.conj(e.ap), np.conj(e.a), e.vp, e.v,
                     reflect(e.q), reflect(e.p))
@@ -89,11 +100,12 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None) -> CanonicalTable
     n1, n = g.n1, g.n
     m = column_accessor(g)
     t = CanonicalTables(g, {(k, k): _diagonal_entry(g, k) for k in range(n1)})
+    rows = _canonical_rows(n1)
     for w in range(1, n):
-        for k in range(min(n1, n - w)):
+        for k in rows[w % n1]:
+            if k >= n - w:
+                break
             l = k + w
-            if not storage_condition(k, l, n1):
-                continue
             left = fetch(t, k, l - 1)
             below = fetch(t, k + 1, l)
             t.entries[(k, l)] = grc_step(left.p, below.q, below.v, left.vp,
@@ -115,8 +127,8 @@ def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
         raise IndexError(f"pair ({k}, {l}) outside a {n} x {n} table")
     if k == l:
         return _diagonal_entry(g, k)
-    tau = sec_op(k, n1)
-    k0 = mod_op(k, n1)
+    block, k0 = divmod(k, n1)
+    tau = block * n1
     l0 = l - tau
     e = t.entries.get((k0, l0))
     if e is None:

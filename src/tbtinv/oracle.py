@@ -15,6 +15,7 @@ inverse is one matrix product.  This module is the brute-force yardstick
 the fast TBT solver is checked against.
 """
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +28,7 @@ from .core import (
     NotPositiveDefinite,
     NumericalBreakdown,
     OpCounter,
+    _band,
     column_inner,
     unit_band,
     validate_hermitian,
@@ -125,7 +127,9 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     backward one, with their residual scalars.  A single inner product
     serves both coefficients: the backward numerator is the conjugate of
     the forward one.  ``m`` is a column-slice accessor under the contract
-    of :func:`~tbtinv.core.column_inner`.
+    of :func:`~tbtinv.core.column_inner`.  Each new polynomial is checked
+    finite once and frozen, so the band vectors built from it skip the
+    public constructor's checks.
     """
     if p_hat.lo != k or p_hat.hi != l - 1 or q_hat.lo != k + 1 or q_hat.hi != l:
         raise ValueError(f"step ({k}, {l}) fed polynomials with supports "
@@ -137,6 +141,12 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     a = num / v_hat
     ap = np.conj(num) / vp_hat
     growth = 1.0 - a * ap
+    # Every comparison below is false for NaN, so non-finite values must
+    # be caught first.
+    if not (cmath.isfinite(num) and cmath.isfinite(growth)):
+        raise NumericalBreakdown(
+            f"non-finite inner product or growth factor at pair ({k}, {l}): "
+            f"{num}, {growth}")
     if abs(growth.imag) > IMAG_TOL * max(1.0, abs(growth)):
         raise NumericalBreakdown(
             f"growth factor lost realness at pair ({k}, {l}): {growth}")
@@ -152,13 +162,22 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     qc = np.zeros(w + 1, dtype=complex)
     qc[1:] = q_hat.coeff
     qc[:w] -= ap * p_hat.coeff
+    if not (_finite(pc) and _finite(qc)):
+        raise NumericalBreakdown(
+            f"polynomial update overflowed at pair ({k}, {l})")
+    pc.setflags(write=False)
+    qc.setflags(write=False)
     if counter is not None:
         counter.div += 2
         counter.mul += 2 * w + 3
         counter.add += 2 * w + 1
     return GrcEntry(a, ap, v_hat * gr, vp_hat * gr,
-                    BandVector(p_hat.n, k, l, pc),
-                    BandVector(q_hat.n, k, l, qc))
+                    _band(p_hat.n, k, l, pc), _band(q_hat.n, k, l, qc))
+
+
+def _finite(x: np.ndarray) -> bool:
+    # Cheaper than np.isfinite(x).all() on the short arrays of a step.
+    return np.count_nonzero(np.isfinite(x)) == x.size
 
 
 def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
@@ -193,22 +212,37 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
     return CoeffTables(n, R, entries)
 
 
-def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
-    """Hybrid relative deviation between two table cells.
+def cells_deviation(got: list, want: list) -> float:
+    """Hybrid relative deviation between paired table cells of one distance.
 
     Each scalar and each polynomial is compared relative to the larger of
-    1 and the magnitude of ``want``; the worst of the six is returned.
-    Polynomials with different support windows are infinitely apart.
+    1 and the magnitude of its ``want`` value; the worst over all pairs
+    and all six quantities is returned.  Polynomials with different
+    support windows are infinitely apart.  The cells share one distance
+    l - k, so their polynomials stack into arrays of one width and every
+    comparison is one vectorized pass.  Scalar moduli are ``np.hypot`` of
+    the parts, which rounds like the scalar ``abs`` of a complex number.
     """
-    devs = [abs(x - y) / max(1.0, abs(y)) for x, y in
-            ((got.a, want.a), (got.ap, want.ap), (got.v, want.v),
-             (got.vp, want.vp))]
-    for x, y in ((got.p, want.p), (got.q, want.q)):
-        if (x.lo, x.hi) != (y.lo, y.hi):
+    for x, y in zip(got, want, strict=True):
+        if ((x.p.lo, x.p.hi, x.q.lo, x.q.hi)
+                != (y.p.lo, y.p.hi, y.q.lo, y.q.hi)):
             return float("inf")
-        devs.append(np.max(np.abs(x.coeff - y.coeff))
-                    / max(1.0, np.max(np.abs(y.coeff))))
-    return float(max(devs))
+    x, y = (np.array([(e.a, e.ap, e.v, e.vp) for e in cells], dtype=complex)
+            for cells in (got, want))
+    d = x - y
+    scalar = (np.hypot(d.real, d.imag)
+              / np.maximum(1.0, np.hypot(y.real, y.imag)))
+    x, y = (np.array([(e.p.coeff, e.q.coeff) for e in cells])
+            for cells in (got, want))
+    poly = (np.max(np.abs(x - y), axis=2)
+            / np.maximum(1.0, np.max(np.abs(y), axis=2)))
+    return float(max(np.max(scalar), np.max(poly)))
+
+
+def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
+    """Hybrid relative deviation between two table cells: the one-cell
+    case of :func:`cells_deviation`."""
+    return cells_deviation([got], [want])
 
 
 def assemble_factor(cells: list) -> InverseFactor:

@@ -26,3 +26,24 @@ def identity_generator(n1, n2):
     c = np.zeros((n2, 2 * n1 - 1), dtype=complex)
     c[0, n1 - 1] = 1.0
     return TbtGenerator(n1, n2, c)
+
+
+def poison_column(monkeypatch, column):
+    """Make the fast path read +inf at the head of every segment of one
+    matrix column."""
+    import tbtinv.fast
+
+    real = tbtinv.fast.column_accessor
+
+    def accessor(g):
+        m = real(g)
+
+        def poisoned(rows, j):
+            seg = m(rows, j)
+            if j == column:
+                seg = seg.copy()
+                seg[0] = np.inf
+            return seg
+        return poisoned
+
+    monkeypatch.setattr(tbtinv.fast, "column_accessor", accessor)

@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tbtinv.fast
 import tbtinv.wwr
-from tbtinv import FactorizationMismatch, InternalIndexError, \
-    NumericalBreakdown, assemble_dense, gaussian_kernel, generate_pd_tbt
+from tbtinv import BandVector, FactorizationMismatch, InternalIndexError, \
+    NumericalBreakdown, assemble_dense, fetch, gaussian_kernel, \
+    generate_pd_tbt, grc_full, tbt_grc
 from tbtinv import cli
 from tbtinv.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_NOT_PD, EXIT_PASS, \
     EXIT_USAGE, main, run_verify
 from tbtinv.fileio import read_dense, read_factor, read_generator, \
     write_generator
-from conftest import identity_generator
+from conftest import identity_generator, poison_column
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -125,6 +129,23 @@ def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, error):
     assert err == f"{error.__name__}: step failed\n"
 
 
+def test_invert_non_finite_recursion_value_exits_4(tmp_path, capsys,
+                                                   monkeypatch):
+    # A non-finite value inside the recursion is a numerical breakdown,
+    # not an input error.
+    poison_column(monkeypatch, 3)
+    gen = tmp_path / "g.txt"
+    main(["gen", "--n1", "2", "--n2", "3", "--seed", "4",
+          "--output", str(gen)])
+    capsys.readouterr()
+    with np.errstate(invalid="ignore"):
+        status = main(["invert", "--input", str(gen),
+                       "--output", str(tmp_path / "x.txt")])
+    assert status == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("NumericalBreakdown: ") and err.count("\n") == 1
+
+
 def test_opcount_csv(tmp_path, capsys):
     out = tmp_path / "costs.csv"
     assert main(["opcount", "--min", "2", "--max", "6",
@@ -214,3 +235,54 @@ def test_run_verify_single_block():
     report = run_verify(generate_pd_tbt(3, 1, seed=5), tolerance=1e-8)
     assert report.wwr_relative_residual is None
     assert report.passed
+
+
+def _cell_deviation(got, want):
+    """Per-cell reference for the table deviation, written out entry by
+    entry with scalar arithmetic."""
+    devs = [abs(x - y) / max(1.0, abs(y)) for x, y in
+            ((got.a, want.a), (got.ap, want.ap), (got.v, want.v),
+             (got.vp, want.vp))]
+    for x, y in ((got.p, want.p), (got.q, want.q)):
+        if (x.lo, x.hi) != (y.lo, y.hi):
+            return float("inf")
+        devs.append(np.max(np.abs(x.coeff - y.coeff))
+                    / max(1.0, np.max(np.abs(y.coeff))))
+    return float(max(devs))
+
+
+def _cellwise_table_deviation(g):
+    tables = tbt_grc(g)
+    reference = grc_full(assemble_dense(g))
+    return max(_cell_deviation(fetch(tables, k, l), reference.get(k, l))
+               for k in range(g.n) for l in range(k, g.n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n1=st.integers(1, 5), n2=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_table_deviation_is_the_cellwise_maximum(n1, n2, seed):
+    g = generate_pd_tbt(n1, n2, seed)
+    assert run_verify(g, 1.0).table_deviation == _cellwise_table_deviation(g)
+
+
+@pytest.mark.parametrize("ell", [1.0, 2.0, 3.0])
+def test_table_deviation_is_the_cellwise_maximum_gaussian(ell):
+    g = gaussian_kernel(8, 8, ell)
+    dev = run_verify(g, 1.0).table_deviation
+    assert dev > 0.0 and dev == _cellwise_table_deviation(g)
+
+
+def test_table_deviation_widened_support_is_inf(monkeypatch):
+    real = cli.fetch
+
+    def widened(t, k, l):
+        e = real(t, k, l)
+        if (k, l) != (1, 2):
+            return e
+        q = BandVector(e.q.n, e.q.lo, e.q.hi + 1, np.append(e.q.coeff, 0))
+        return e._replace(q=q)
+
+    monkeypatch.setattr(cli, "fetch", widened)
+    report = run_verify(generate_pd_tbt(2, 3, seed=8), 1.0)
+    assert report.table_deviation == math.inf

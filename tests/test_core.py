@@ -20,6 +20,7 @@ from tbtinv import (
     tbt_entry,
     unit_band,
 )
+from tbtinv.core import _band
 from tbtinv.wwr import block, normal_system
 from conftest import identity_generator, random_generator
 
@@ -182,6 +183,14 @@ def test_band_vector_validation():
     v = BandVector(4, 1, 2, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         v.coeff[0] = 5.0  # read-only after construction
+
+
+def test_private_band_checks_integer_invariants():
+    for lo, hi, count in [(2, 1, 0), (0, 4, 5), (0, 1, 3), (-1, 0, 2)]:
+        with pytest.raises(InternalIndexError):
+            _band(4, lo, hi, np.ones(count, dtype=complex))
+    c = np.array([1.0, 2.0j])
+    assert _band(4, 1, 2, c) == BandVector(4, 1, 2, c)
 
 
 def test_shift_examples():

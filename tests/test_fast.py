@@ -13,6 +13,7 @@ from tbtinv import (
     CanonicalTables,
     InternalIndexError,
     NotPositiveDefinite,
+    NumericalBreakdown,
     OpCounter,
     TbtGenerator,
     assemble_dense,
@@ -33,7 +34,7 @@ from tbtinv import (
 )
 from tbtinv.fast import storage_condition
 from tbtinv.oracle import entry_deviation
-from conftest import identity_generator
+from conftest import identity_generator, poison_column
 
 
 def loop_pairs(n1, n2):
@@ -205,6 +206,43 @@ def test_no_per_element_generator_reads(monkeypatch):
     t = tbt_grc(g)
     f = tbt_factorization(g)
     assert len(t.entries) > 0 and f.n == 9
+
+
+def test_non_finite_column_segment_is_breakdown(monkeypatch):
+    poison_column(monkeypatch, 3)
+    with pytest.raises(NumericalBreakdown), np.errstate(invalid="ignore"):
+        tbt_factorization(generate_pd_tbt(2, 3, seed=4))
+
+
+def test_recursion_skips_public_band_checks(monkeypatch):
+    # The recursion builds its band vectors through core._band and checks
+    # each new polynomial once in grc_step, so none of them runs the public
+    # constructor's checks, and the result does not change.
+    g = generate_pd_tbt(8, 8, seed=16)
+    want = tbt_factorization(g)
+    r = assemble_dense(g)
+    ref = grc_full(r)
+
+    def boom(self):
+        raise AssertionError("the recursion ran the public BandVector checks")
+
+    monkeypatch.setattr(BandVector, "__post_init__", boom)
+    got = tbt_factorization(g)
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.diag, want.diag)
+    again = grc_full(r)
+    for key, e in ref.entries.items():
+        assert entry_deviation(again.entries[key], e) == 0.0
+
+
+def test_table_coefficients_are_read_only():
+    g = generate_pd_tbt(3, 3, seed=17)
+    t = tbt_grc(g)
+    cells = list(t.entries.values())
+    cells += [fetch(t, k, l) for k in range(g.n) for l in range(k, g.n)]
+    for e in cells:
+        assert not e.p.coeff.flags.writeable
+        assert not e.q.coeff.flags.writeable
 
 
 def test_factorization_identity():

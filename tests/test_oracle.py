@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tbtinv import (
+    BandVector,
     CoeffTables,
     FactorizationMismatch,
     InverseFactor,
     NotPositiveDefinite,
+    NumericalBreakdown,
     apply_inverse,
     band_to_dense,
     build_factorization,
@@ -86,6 +88,29 @@ def test_grc_step_support_precondition():
     with pytest.raises(ValueError):
         grc_step(unit_band(4, 0), unit_band(4, 3), 1.0, 1.0,
                  _dense_accessor(r), 0, 2)
+
+
+@pytest.mark.parametrize("column", [np.inf, np.nan, complex(0.0, -np.inf)])
+def test_grc_step_non_finite_inner_product_is_breakdown(column):
+    # Every comparison with NaN is false, so a non-finite growth factor
+    # would slip past the realness and positivity checks.
+    def m(rows, j):
+        return np.full(rows.stop - rows.start, column, dtype=complex)
+
+    with pytest.raises(NumericalBreakdown), np.errstate(invalid="ignore"):
+        grc_step(unit_band(2, 0), unit_band(2, 1), 1.0, 1.0, m, 0, 1)
+
+
+def test_grc_step_overflowing_polynomial_is_breakdown():
+    # a = 5e9 and a' = 5e-11 are finite with growth 0.75, but a * 1e308
+    # overflows in the forward update.
+    big = BandVector(2, 1, 1, np.array([1e308]))
+
+    def m(rows, j):
+        return np.full(rows.stop - rows.start, 0.5, dtype=complex)
+
+    with pytest.raises(NumericalBreakdown), np.errstate(over="ignore"):
+        grc_step(unit_band(2, 0), big, 1e-10, 1e10, m, 0, 1)
 
 
 @pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (6, 2)])
