@@ -40,11 +40,13 @@ from .instances import SplitMix64, gaussian_kernel, generate_pd_tbt
 from .oracle import (
     CoeffTables,
     GrcEntry,
+    GrcStrip,
     InverseFactor,
     apply_inverse,
     build_factorization,
     grc_full,
     grc_step,
+    grc_strip_step,
     inverse_dense,
 )
 from .wwr import WwrState, wwr_recurse, wwr_residual
@@ -59,6 +61,7 @@ __all__ = [
     "DomainError",
     "FactorizationMismatch",
     "GrcEntry",
+    "GrcStrip",
     "InternalIndexError",
     "InverseFactor",
     "NotPositiveDefinite",
@@ -81,6 +84,7 @@ __all__ = [
     "generate_pd_tbt",
     "grc_full",
     "grc_step",
+    "grc_strip_step",
     "index_exchange",
     "inverse_dense",
     "mod_op",

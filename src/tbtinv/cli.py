@@ -4,13 +4,16 @@ Subcommands: ``gen`` (random PD instance), ``invert`` (fast or reference
 method), ``wwr`` (baseline recursion), ``opcount`` (cost-model sweep CSV)
 and ``verify`` (cross-check fast vs reference vs baseline on an
 instance).  Without ``--tolerance``, ``verify`` scales its tolerance by
-the conditioning of the input: max(1e-8, cond(R) * n * eps).
+the conditioning of the input: max(1e-8, cond(R) * n * eps), and refuses
+an input with cond(R) * n * eps >= 1, on which no verdict would mean
+anything.
 
 Exit status, the same for every subcommand: 0 pass, 1 tolerance failure
 (``verify`` only), 2 input not positive definite (including a singular
 prediction-error block), 3 I/O or usage error, 4 numerical breakdown in
-the recursion or a failed internal consistency check.  Every status but 0
-and 1 comes with a one-line message on standard error.
+the recursion or a failed internal consistency check, 5 input beyond
+working precision (``verify`` without ``--tolerance`` only).  Every
+status but 0 and 1 comes with a one-line message on standard error.
 """
 
 import argparse
@@ -26,7 +29,7 @@ from .core import FactorizationMismatch, InternalIndexError, \
 from .fast import fetch, tbt_factorization, tbt_grc
 from .instances import generate_pd_tbt
 from .oracle import build_factorization, cells_deviation, grc_full, \
-    inverse_dense
+    inverse_dense, stack_cells
 from .wwr import WwrState, normal_system, wwr_recurse, wwr_residual
 
 EXIT_PASS = 0
@@ -34,6 +37,12 @@ EXIT_FAIL = 1
 EXIT_NOT_PD = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+EXIT_BEYOND_PRECISION = 5
+
+
+class BeyondWorkingPrecision(Exception):
+    """cond(R) * n * eps >= 1: a tolerance scaled to the conditioning
+    would pass any result, so ``verify`` gives no verdict."""
 
 
 @dataclass
@@ -66,22 +75,29 @@ def run_verify(g: TbtGenerator,
                tolerance: float | None = None) -> VerifyReport:
     """Cross-check the fast solver, reference recursion and baseline.
 
-    Compares every fetched table tuple against the dense reference, one
-    distance at a time, measures the materialized-inverse residual, and
-    (for n2 >= 2) the baseline's normal-equation residual.  Without a
-    tolerance, every check must hold to max(1e-8, cond(R) * n * eps), the
-    accuracy a backward-stable solver can promise on R.
+    Stacks the fetched fast cells of each distance into a strip and
+    compares it with the dense reference's strip, measures the
+    materialized-inverse residual, and (for n2 >= 2) the baseline's
+    normal-equation residual.  Without a tolerance, every check must hold
+    to max(1e-8, cond(R) * n * eps), the accuracy a backward-stable solver
+    can promise on R; where that bound reaches 1, the input is beyond
+    working precision and :class:`BeyondWorkingPrecision` is raised
+    before any recursion runs.
     """
     n = g.n
     r = assemble_dense(g)
-    reference = grc_full(r)
     if tolerance is None:
-        cond = float(np.linalg.cond(r))
-        tolerance = max(1e-8, cond * n * np.finfo(float).eps)
+        scaled = float(np.linalg.cond(r)) * n * np.finfo(float).eps
+        if not scaled < 1.0:
+            raise BeyondWorkingPrecision(f"cond(R)*n*eps = {scaled:.3g} >= 1")
+        tolerance = max(1e-8, scaled)
+    reference = grc_full(r)
     tables = tbt_grc(g)
-    dev = max(cells_deviation([fetch(tables, k, k + w) for k in range(n - w)],
-                              [reference.get(k, k + w) for k in range(n - w)])
-              for w in range(n))
+    dev = 0.0
+    for w in range(n):
+        got = stack_cells([fetch(tables, k, k + w) for k in range(n - w)])
+        dev = max(dev, float("inf") if got is None
+                  else cells_deviation(got, reference.strips[w]))
     inverse = inverse_dense(tbt_factorization(g, tables=tables))
     resid = float(np.linalg.norm(r @ inverse - np.eye(n)) / np.sqrt(n))
     wwr_rel = None
@@ -152,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="cross-check solvers on an instance")
     ver.add_argument("--input", required=True, help="generator file path")
     ver.add_argument("--tolerance", type=_positive, default=None,
-                     help="default: max(1e-8, cond(R) * n * eps)")
+                     help="default: max(1e-8, cond(R) * n * eps), which "
+                          "must stay below 1")
     return parser
 
 
@@ -231,6 +248,9 @@ def main(argv=None) -> int:
             FactorizationMismatch) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BeyondWorkingPrecision as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_BEYOND_PRECISION
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

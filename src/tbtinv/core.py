@@ -29,7 +29,15 @@ class NotPositiveDefinite(Exception):
 
 
 class NumericalBreakdown(Exception):
-    """A residual scalar underflowed or lost its realness in floating point."""
+    """A residual scalar underflowed, or a recursion value turned non-finite
+    or lost its realness in floating point.
+
+    ``pair`` identifies the (k, l) cell at which it happened.
+    """
+
+    def __init__(self, message, pair=None):
+        super().__init__(message)
+        self.pair = pair
 
 
 class FactorizationMismatch(Exception):
@@ -243,8 +251,9 @@ def _band(n: int, lo: int, hi: int, coeff: np.ndarray) -> BandVector:
     """BandVector for the recursion's own builders, without the value checks.
 
     The caller guarantees that ``coeff`` is a finite, read-only 1-D
-    complex array: :func:`~tbtinv.oracle.grc_step` checks each polynomial
-    it creates once and freezes it, :func:`unit_band` builds a constant,
+    complex array: :func:`~tbtinv.oracle.grc_step` and
+    :func:`~tbtinv.oracle.grc_strip_step` check each polynomial they create
+    once and freeze it, :func:`unit_band` builds a constant,
     and :func:`shift` and the mirror reconstruction reuse, or conjugate
     and freeze, such an array.  Only the integer invariants are checked
     here: 0 <= lo <= hi <= n-1 and one coefficient per support index.  A

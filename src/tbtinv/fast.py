@@ -96,20 +96,23 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None) -> CanonicalTable
     serves them from storage, from a stored mirror, by a whole-block
     shift, or from the constant main diagonal.  A mirror or a block shift
     keeps the distance, so every predecessor is ready when it is read.
+    Each step checks every value it produces, so numpy's warnings about
+    non-finite values are silenced for the whole loop.
     """
     n1, n = g.n1, g.n
     m = column_accessor(g)
     t = CanonicalTables(g, {(k, k): _diagonal_entry(g, k) for k in range(n1)})
     rows = _canonical_rows(n1)
-    for w in range(1, n):
-        for k in rows[w % n1]:
-            if k >= n - w:
-                break
-            l = k + w
-            left = fetch(t, k, l - 1)
-            below = fetch(t, k + 1, l)
-            t.entries[(k, l)] = grc_step(left.p, below.q, below.v, left.vp,
-                                         m, k, l, counter)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for w in range(1, n):
+            for k in rows[w % n1]:
+                if k >= n - w:
+                    break
+                l = k + w
+                left = fetch(t, k, l - 1)
+                below = fetch(t, k + 1, l)
+                t.entries[(k, l)] = grc_step(left.p, below.q, below.v,
+                                             left.vp, m, k, l, counter)
     return t
 
 

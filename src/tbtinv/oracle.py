@@ -1,10 +1,13 @@
 """Reference recursion for generalized reflection coefficients.
 
-Works on any Hermitian positive definite matrix presented through a
-column-slice accessor (see :func:`~tbtinv.core.column_inner`).  Fills the
-full table of coefficient pairs (a, a'), residual scalars (v, v') and
-forward/backward polynomials (p, q) diagonal by diagonal, and assembles
-the inverse factorization
+The recursion step :func:`grc_step` makes one table cell of coefficient
+pairs (a, a'), residual scalars (v, v') and forward/backward polynomials
+(p, q) of a Hermitian positive definite matrix presented through a
+column-slice accessor (see :func:`~tbtinv.core.column_inner`); the fast
+solver runs it cell by cell.  The dense reference :func:`grc_full` fills
+the full table of a dense matrix diagonal by diagonal, each diagonal (a
+*strip*) in one vectorized :func:`grc_strip_step`, and assembles the
+inverse factorization
 
     R^-1 = F . diag(d)^-1 . F^H
 
@@ -30,7 +33,6 @@ from .core import (
     OpCounter,
     _band,
     column_inner,
-    unit_band,
     validate_hermitian,
 )
 
@@ -57,21 +59,50 @@ class GrcEntry(NamedTuple):
     q: BandVector
 
 
+class GrcStrip(NamedTuple):
+    """The cells (k, k + w) of one distance w, row k = 0 .. r-1, as arrays.
+
+    ``a``, ``ap``, ``v`` and ``vp`` hold one value per row; ``p`` and ``q``
+    are r x (w+1), row k holding the coefficients on the support
+    [k, k + w].  The arrays are read-only.
+    """
+
+    a: np.ndarray
+    ap: np.ndarray
+    v: np.ndarray
+    vp: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+
+def _frozen(s: GrcStrip) -> GrcStrip:
+    for x in s:
+        x.flags.writeable = False
+    return s
+
+
 @dataclass
 class CoeffTables:
     """Complete recursion tables for one Hermitian matrix.
 
-    ``entries`` maps every pair (k, l), 0 <= k <= l <= n-1, to a GrcEntry.
-    The matrix the tables were computed from is kept so the factorization
-    step can run its verification pass.
+    ``strips[w]`` holds the cells (k, k + w), k = 0 .. n-1-w, of distance
+    w.  The matrix the tables were computed from is kept so the
+    factorization step can run its verification pass.
     """
 
     n: int
     matrix: np.ndarray
-    entries: dict
+    strips: list
 
     def get(self, k: int, l: int) -> GrcEntry:
-        return self.entries[(k, l)]
+        """Cell (k, l) as a view of row k of strip l - k."""
+        if not (0 <= k <= l <= self.n - 1):
+            raise IndexError(f"pair ({k}, {l}) outside a {self.n} x {self.n} "
+                             f"table")
+        s = self.strips[l - k]
+        return GrcEntry(s.a[k], s.ap[k], s.v[k], s.vp[k],
+                        _band(self.n, k, l, s.p[k]),
+                        _band(self.n, k, l, s.q[k]))
 
 
 @dataclass
@@ -129,32 +160,25 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     the forward one.  ``m`` is a column-slice accessor under the contract
     of :func:`~tbtinv.core.column_inner`.  Each new polynomial is checked
     finite once and frozen, so the band vectors built from it skip the
-    public constructor's checks.
+    public constructor's checks.  A failed check raises
+    :func:`_step_error`'s error.
     """
     if p_hat.lo != k or p_hat.hi != l - 1 or q_hat.lo != k + 1 or q_hat.hi != l:
         raise ValueError(f"step ({k}, {l}) fed polynomials with supports "
                          f"[{p_hat.lo}, {p_hat.hi}] / [{q_hat.lo}, {q_hat.hi}]")
     if not (v_hat > _TINY and vp_hat > _TINY):
-        raise NumericalBreakdown(
-            f"residual scalar underflow at pair ({k}, {l})")
+        raise _step_error(k, l)
     num = column_inner(p_hat, m, l, counter)
     a = num / v_hat
     ap = np.conj(num) / vp_hat
     growth = 1.0 - a * ap
-    # Every comparison below is false for NaN, so non-finite values must
-    # be caught first.
-    if not (cmath.isfinite(num) and cmath.isfinite(growth)):
-        raise NumericalBreakdown(
-            f"non-finite inner product or growth factor at pair ({k}, {l}): "
-            f"{num}, {growth}")
-    if abs(growth.imag) > IMAG_TOL * max(1.0, abs(growth)):
-        raise NumericalBreakdown(
-            f"growth factor lost realness at pair ({k}, {l}): {growth}")
+    # Every comparison is false for NaN, so non-finite values are caught
+    # first.
+    if not (cmath.isfinite(num) and cmath.isfinite(growth)
+            and abs(growth.imag) <= IMAG_TOL * max(1.0, abs(growth))
+            and growth.real > PD_TOL):
+        raise _step_error(k, l, num, growth)
     gr = growth.real
-    if gr <= PD_TOL:
-        raise NotPositiveDefinite(
-            f"leading section through pair ({k}, {l}) is not positive "
-            f"definite (growth factor {gr:g})", pair=(k, l))
     w = l - k
     pc = np.zeros(w + 1, dtype=complex)
     pc[:w] = p_hat.coeff
@@ -163,8 +187,7 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     qc[1:] = q_hat.coeff
     qc[:w] -= ap * p_hat.coeff
     if not (_finite(pc) and _finite(qc)):
-        raise NumericalBreakdown(
-            f"polynomial update overflowed at pair ({k}, {l})")
+        raise _step_error(k, l, num, growth)
     pc.setflags(write=False)
     qc.setflags(write=False)
     if counter is not None:
@@ -175,74 +198,156 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
                     _band(p_hat.n, k, l, pc), _band(q_hat.n, k, l, qc))
 
 
+def _step_error(k: int, l: int, num=None, growth=None) -> Exception:
+    """The error of a failed step at (k, l), by the first check its values
+    fail, in order: residual scalar underflow (``num`` is None, no inner
+    product taken), a non-finite inner product or growth factor, a growth
+    factor that lost its realness, a growth factor at most ``PD_TOL``.  A
+    step that passes all four failed on an overflowing polynomial update.
+    """
+    pair = (k, l)
+    if num is None:
+        return NumericalBreakdown(
+            f"residual scalar underflow at pair {pair}", pair=pair)
+    if not (cmath.isfinite(num) and cmath.isfinite(growth)):
+        return NumericalBreakdown(
+            f"non-finite inner product or growth factor at pair {pair}: "
+            f"{num}, {growth}", pair=pair)
+    if abs(growth.imag) > IMAG_TOL * max(1.0, abs(growth)):
+        return NumericalBreakdown(
+            f"growth factor lost realness at pair {pair}: {growth}",
+            pair=pair)
+    if growth.real <= PD_TOL:
+        return NotPositiveDefinite(
+            f"leading section through pair {pair} is not positive "
+            f"definite (growth factor {growth.real:g})", pair=pair)
+    return NumericalBreakdown(
+        f"polynomial update overflowed at pair {pair}", pair=pair)
+
+
 def _finite(x: np.ndarray) -> bool:
     # Cheaper than np.isfinite(x).all() on the short arrays of a step.
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
+def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
+                   counter: OpCounter | None = None) -> GrcStrip:
+    """Every cell (k, k + w) of one distance w >= 1 from the strip of
+    distance w - 1.
+
+    Row k is :func:`grc_step` at (k, k + w): it reads the (k, l-1) forward
+    polynomial from row k of ``prev`` and the (k+1, l) backward one from
+    row k + 1, and ``seg[k, i] = R[k+i, k+w]`` is the column segment its
+    inner product takes.  Every check of the step is made on every row;
+    the first failing row raises what the cell-by-cell recursion raises
+    there.  A completed strip charges the counter what its steps and
+    inner products would: (3w+3, 3w, 2) multiplies, adds and divides per
+    row.
+    """
+    p_hat, vp_hat = prev.p[:-1], prev.vp[:-1]
+    q_hat, v_hat = prev.q[1:], prev.v[1:]
+    num = np.einsum("ij,ij->i", p_hat, seg)
+    a = num / v_hat
+    ap = np.conj(num) / vp_hat
+    growth = 1.0 - a * ap
+    gr = growth.real
+    p = np.zeros((len(seg), w + 1), dtype=complex)
+    p[:, :w] = p_hat
+    p[:, 1:] -= a[:, None] * q_hat
+    q = np.zeros_like(p)
+    q[:, 1:] = q_hat
+    q[:, :w] -= ap[:, None] * p_hat
+    held = (v_hat > _TINY) & (vp_hat > _TINY)
+    ok = (held & np.isfinite(num) & np.isfinite(growth)
+          & (np.abs(growth.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(growth)))
+          & (gr > PD_TOL)
+          & np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise _step_error(k, k + w, num[k] if held[k] else None, growth[k])
+    if counter is not None:
+        r = len(seg)
+        counter.mul += r * (3 * w + 3)
+        counter.add += r * 3 * w
+        counter.div += r * 2
+    return _frozen(GrcStrip(a, ap, v_hat * gr, vp_hat * gr, p, q))
+
+
 def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
     """Fill the complete tables for a dense Hermitian matrix.
 
-    Cells are produced by increasing distance l - k so each step finds its
-    two predecessors already in place.
+    One :func:`grc_strip_step` per distance l - k computes every cell of
+    that distance from the previous strip, reading the matrix directly,
+    with no mirror or block shift, so the tables check the fast recursion
+    independently.  The steps check every value they produce, so numpy's
+    warnings about non-finite values are silenced for the sweep.
     """
     R = validate_hermitian(R, tol=1e-12)
     n = R.shape[0]
     if n < 1:
         raise ValueError("matrix must be at least 1 x 1")
-
-    def m(rows, j):
-        return R[rows, j]
-
-    entries = {}
-    for k in range(n):
-        d = R[k, k].real
-        if d <= 0.0:
-            raise NotPositiveDefinite(
-                f"diagonal entry {k} is not positive", pair=(k, k))
-        e_k = unit_band(n, k)
-        entries[(k, k)] = GrcEntry(0j, 0j, d, d, e_k, e_k)
-    for width in range(1, n):
-        for k in range(n - width):
-            l = k + width
-            left = entries[(k, l - 1)]
-            below = entries[(k + 1, l)]
-            entries[(k, l)] = grc_step(left.p, below.q, below.v, left.vp,
-                                       m, k, l, counter)
-    return CoeffTables(n, R, entries)
+    d = R.diagonal().real.copy()
+    bad = np.flatnonzero(d <= 0.0)
+    if bad.size:
+        k = int(bad[0])
+        raise NotPositiveDefinite(
+            f"diagonal entry {k} is not positive", pair=(k, k))
+    zero = np.zeros(n, dtype=complex)
+    one = np.ones((n, 1), dtype=complex)
+    strips = [_frozen(GrcStrip(zero, zero, d, d, one, one))]
+    rows = np.arange(n)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for w in range(1, n):
+            k = rows[:n - w, None]
+            seg = R[k + rows[:w], k + w]  # seg[k, i] = R[k + i, k + w]
+            strips.append(grc_strip_step(strips[-1], seg, w, counter))
+    return CoeffTables(n, R, strips)
 
 
-def cells_deviation(got: list, want: list) -> float:
-    """Hybrid relative deviation between paired table cells of one distance.
+def stack_cells(cells: list, k0: int = 0) -> GrcStrip | None:
+    """The strip of the cells (k0 + i, k0 + i + w), i = 0 .. len-1, with
+    w the first cell's distance; None when a polynomial's support is not
+    that of its cell."""
+    w = cells[0].p.hi - cells[0].p.lo
+    for i, e in enumerate(cells, k0):
+        if (e.p.lo, e.p.hi, e.q.lo, e.q.hi) != (i, i + w, i, i + w):
+            return None
+    x = np.array([(e.a, e.ap, e.v, e.vp) for e in cells], dtype=complex)
+    return _frozen(GrcStrip(x[:, 0], x[:, 1], x[:, 2].real, x[:, 3].real,
+                            np.array([e.p.coeff for e in cells]),
+                            np.array([e.q.coeff for e in cells])))
+
+
+def cells_deviation(got: GrcStrip, want: GrcStrip) -> float:
+    """Hybrid relative deviation between two strips of one distance.
 
     Each scalar and each polynomial is compared relative to the larger of
-    1 and the magnitude of its ``want`` value; the worst over all pairs
-    and all six quantities is returned.  Polynomials with different
-    support windows are infinitely apart.  The cells share one distance
-    l - k, so their polynomials stack into arrays of one width and every
-    comparison is one vectorized pass.  Scalar moduli are ``np.hypot`` of
-    the parts, which rounds like the scalar ``abs`` of a complex number.
+    1 and the magnitude of its ``want`` value; the worst over all rows and
+    all six quantities is returned.  Strips whose polynomials differ in
+    shape have different supports and are infinitely apart.  Scalar
+    moduli are ``np.hypot`` of the parts, which rounds like the scalar
+    ``abs`` of a complex number.
     """
-    for x, y in zip(got, want, strict=True):
-        if ((x.p.lo, x.p.hi, x.q.lo, x.q.hi)
-                != (y.p.lo, y.p.hi, y.q.lo, y.q.hi)):
-            return float("inf")
-    x, y = (np.array([(e.a, e.ap, e.v, e.vp) for e in cells], dtype=complex)
-            for cells in (got, want))
+    if (got.p.shape, got.q.shape) != (want.p.shape, want.q.shape):
+        return float("inf")
+    x, y = (np.stack((s.a, s.ap, s.v, s.vp), axis=1) for s in (got, want))
     d = x - y
     scalar = (np.hypot(d.real, d.imag)
               / np.maximum(1.0, np.hypot(y.real, y.imag)))
-    x, y = (np.array([(e.p.coeff, e.q.coeff) for e in cells])
-            for cells in (got, want))
+    x, y = (np.stack((s.p, s.q), axis=1) for s in (got, want))
     poly = (np.max(np.abs(x - y), axis=2)
             / np.maximum(1.0, np.max(np.abs(y), axis=2)))
     return float(max(np.max(scalar), np.max(poly)))
 
 
 def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
-    """Hybrid relative deviation between two table cells: the one-cell
-    case of :func:`cells_deviation`."""
-    return cells_deviation([got], [want])
+    """Hybrid relative deviation between two table cells: the one-row case
+    of :func:`cells_deviation`.  Cells with different supports are
+    infinitely apart."""
+    x, y = (stack_cells([e], want.p.lo) for e in (got, want))
+    if x is None or y is None:
+        return float("inf")
+    return cells_deviation(x, y)
 
 
 def assemble_factor(cells: list) -> InverseFactor:

@@ -10,8 +10,8 @@ from tbtinv import BandVector, FactorizationMismatch, InternalIndexError, \
     NumericalBreakdown, assemble_dense, fetch, gaussian_kernel, \
     generate_pd_tbt, grc_full, tbt_grc
 from tbtinv import cli
-from tbtinv.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_NOT_PD, EXIT_PASS, \
-    EXIT_USAGE, main, run_verify
+from tbtinv.cli import EXIT_BEYOND_PRECISION, EXIT_FAIL, EXIT_INTERNAL, \
+    EXIT_NOT_PD, EXIT_PASS, EXIT_USAGE, main, run_verify
 from tbtinv.fileio import read_dense, read_factor, read_generator, \
     write_generator
 from conftest import identity_generator, poison_column
@@ -132,16 +132,29 @@ def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, error):
 def test_invert_non_finite_recursion_value_exits_4(tmp_path, capsys,
                                                    monkeypatch):
     # A non-finite value inside the recursion is a numerical breakdown,
-    # not an input error.
+    # not an input error.  No np.errstate here: numpy must not print its
+    # own warning lines next to the one-line message.
     poison_column(monkeypatch, 3)
     gen = tmp_path / "g.txt"
     main(["gen", "--n1", "2", "--n2", "3", "--seed", "4",
           "--output", str(gen)])
     capsys.readouterr()
-    with np.errstate(invalid="ignore"):
-        status = main(["invert", "--input", str(gen),
-                       "--output", str(tmp_path / "x.txt")])
+    status = main(["invert", "--input", str(gen),
+                   "--output", str(tmp_path / "x.txt")])
     assert status == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("NumericalBreakdown: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["fast", "oracle"])
+def test_invert_overflow_in_recursion_one_stderr_line(tmp_path, capsys,
+                                                      method):
+    # Lags of 1e300 against a zero lag of 1e-10: the first reflection
+    # coefficient overflows in both recursions.
+    gen = tmp_path / "g.txt"
+    gen.write_text("2 1\n1e300 0 1e-10 0 1e300 0\n")
+    assert main(["invert", "--input", str(gen), "--method", method,
+                 "--output", str(tmp_path / "x.txt")]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("NumericalBreakdown: ") and err.count("\n") == 1
 
@@ -178,6 +191,30 @@ def test_verify_default_tolerance_scales_with_conditioning(tmp_path, capsys):
     assert main(["verify", "--input", str(gen),
                  "--tolerance", "1e-8"]) == EXIT_FAIL
     capsys.readouterr()
+
+
+def test_verify_beyond_working_precision(tmp_path, capsys, monkeypatch):
+    # Gaussian kernel at 16 x 4 with cond(R) * n * eps about 96: a
+    # tolerance scaled to that would pass any result.
+    gen = tmp_path / "g.txt"
+    write_generator(gaussian_kernel(16, 4, np.linspace(2.8, 4.2, 57)[11]),
+                    gen)
+    # An explicit tolerance is taken as given, and the checks run.
+    assert main(["verify", "--input", str(gen),
+                 "--tolerance", "1e-8"]) == EXIT_FAIL
+    capsys.readouterr()
+
+    # The conditioning is judged before any recursion runs.
+    def boom(*args):
+        raise AssertionError("recursion ran before the conditioning check")
+
+    monkeypatch.setattr(cli, "grc_full", boom)
+    monkeypatch.setattr(cli, "tbt_grc", boom)
+    assert main(["verify", "--input", str(gen)]) == EXIT_BEYOND_PRECISION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("BeyondWorkingPrecision: cond(R)*n*eps = ")
+    assert captured.err.endswith(" >= 1\n") and captured.err.count("\n") == 1
 
 
 def test_verify_not_pd(tmp_path, capsys):

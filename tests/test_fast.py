@@ -33,7 +33,7 @@ from tbtinv import (
     unit_band,
 )
 from tbtinv.fast import storage_condition
-from tbtinv.oracle import entry_deviation
+from tbtinv.oracle import cells_deviation, entry_deviation
 from conftest import identity_generator, poison_column
 
 
@@ -231,8 +231,11 @@ def test_recursion_skips_public_band_checks(monkeypatch):
     assert np.array_equal(got.lower, want.lower)
     assert np.array_equal(got.diag, want.diag)
     again = grc_full(r)
-    for key, e in ref.entries.items():
-        assert entry_deviation(again.entries[key], e) == 0.0
+    for w, s in enumerate(ref.strips):
+        assert cells_deviation(again.strips[w], s) == 0.0
+    # Reading a cell back builds its band vectors through core._band too.
+    n = g.n
+    assert entry_deviation(again.get(0, n - 1), ref.get(0, n - 1)) == 0.0
 
 
 def test_table_coefficients_are_read_only():

@@ -6,9 +6,12 @@ from tbtinv import (
     BandVector,
     CoeffTables,
     FactorizationMismatch,
+    GrcEntry,
     InverseFactor,
     NotPositiveDefinite,
     NumericalBreakdown,
+    OpCounter,
+    TbtGenerator,
     apply_inverse,
     band_to_dense,
     build_factorization,
@@ -22,6 +25,7 @@ from tbtinv import (
     tbt_factorization,
     unit_band,
 )
+from tbtinv.oracle import entry_deviation
 from conftest import random_hermitian_pd
 
 
@@ -217,14 +221,21 @@ def test_factor_triple_product_diagonal():
     assert np.max(np.abs(np.diag(prod) - f.diag)) <= 1e-10 * np.linalg.norm(r)
 
 
+def _scaled_vp(t, k, l, factor):
+    """Copy of the tables with the residual vp of cell (k, l) scaled."""
+    strips = list(t.strips)
+    s = strips[l - k]
+    vp = s.vp.copy()
+    vp[k] *= factor
+    strips[l - k] = s._replace(vp=vp)
+    return CoeffTables(t.n, t.matrix, strips)
+
+
 def test_build_factorization_mismatch_detected():
     r = random_hermitian_pd(4, seed=19)
     t = grc_full(r)
-    broken = dict(t.entries)
-    e = broken[(0, 3)]
-    broken[(0, 3)] = e._replace(vp=e.vp * 1.001)
     with pytest.raises(FactorizationMismatch):
-        build_factorization(CoeffTables(t.n, t.matrix, broken))
+        build_factorization(_scaled_vp(t, 0, 3, 1.001))
 
 
 def test_apply_inverse_identity():
@@ -345,9 +356,92 @@ def test_build_factorization_rejects_corrupted_diagonal():
     t = grc_full(assemble_dense(generate_pd_tbt(8, 8, seed=3)))
     n = t.n
     for k in (0, n // 2, n - 1):
-        e = t.get(k, n - 1)
-        entries = dict(t.entries)
-        entries[(k, n - 1)] = e._replace(vp=e.vp * (1 + 1e-8))
         with pytest.raises(FactorizationMismatch,
                            match=f"diagonal entry {k}:"):
-            build_factorization(CoeffTables(n, t.matrix, entries))
+            build_factorization(_scaled_vp(t, k, n - 1, 1 + 1e-8))
+
+
+def cellwise_tables(r):
+    """The reference recursion cell by cell: grc_step at every pair by
+    increasing distance, over the dense accessor."""
+    n = r.shape[0]
+    m = _dense_accessor(r)
+    cells = {}
+    for k in range(n):
+        d = r[k, k].real
+        if d <= 0.0:
+            raise NotPositiveDefinite(f"diagonal entry {k}", pair=(k, k))
+        cells[(k, k)] = GrcEntry(0j, 0j, d, d, unit_band(n, k), unit_band(n, k))
+    for w in range(1, n):
+        for k in range(n - w):
+            left, below = cells[(k, k + w - 1)], cells[(k + 1, k + w)]
+            cells[(k, k + w)] = grc_step(left.p, below.q, below.v, left.vp,
+                                         m, k, k + w)
+    return cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_strip_reference_matches_cellwise_recursion(n, seed):
+    r = random_hermitian_pd(n, seed)
+    t = grc_full(r)
+    for (k, l), want in cellwise_tables(r).items():
+        got = t.get(k, l)
+        assert ((got.p.lo, got.p.hi, got.q.lo, got.q.hi)
+                == (want.p.lo, want.p.hi, want.q.lo, want.q.hi))
+        assert entry_deviation(got, want) <= 1e-12
+
+
+def _rank_deficient(n, seed):
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
+    r = b @ b.conj().T
+    return 0.5 * (r + r.conj().T)
+
+
+def _one_negative_eigenvalue(n, seed):
+    r = random_hermitian_pd(n, seed, shift=0.0)
+    lam = np.linalg.eigvalsh(r)
+    return r - 0.5 * (lam[0] + lam[1]) * np.eye(n)
+
+
+# Criterion 9's generator: zero lag 0.01 against unit lags.
+_CRITERION_9 = TbtGenerator(2, 1, np.array([[1.0, 0.01, 1.0]]))
+
+FAILING = {
+    "criterion-9": assemble_dense(_CRITERION_9),
+    "bad-diagonal": np.diag([1.0, -1.0, 1.0]).astype(complex),
+    # a = 1e300 / 1e-10 overflows: a non-finite growth factor.
+    "overflow": np.array([[1e-10, 1e300], [1e300, 1e-10]], dtype=complex),
+    **{f"indefinite-{n}": _one_negative_eigenvalue(n, n) for n in (3, 6, 9, 12)},
+    **{f"singular-{n}": _rank_deficient(n, n) for n in (3, 6, 9, 12)},
+}
+
+
+@pytest.mark.parametrize("name", FAILING)
+def test_strip_reference_fails_like_cellwise_recursion(name):
+    # No np.errstate around grc_full: the test configuration turns numpy
+    # warnings into errors, and the sweep must raise only its typed error.
+    r = FAILING[name]
+    errors = (NotPositiveDefinite, NumericalBreakdown)
+    with pytest.raises(errors) as strip:
+        grc_full(r)
+    with pytest.raises(errors) as cell, np.errstate(invalid="ignore",
+                                                    over="ignore"):
+        cellwise_tables(r)
+    assert type(strip.value) is type(cell.value)
+    assert strip.value.pair == cell.value.pair
+
+
+@pytest.mark.parametrize("n,want", [(1, (0, 0, 0)), (2, (6, 3, 2)),
+                                    (5, (90, 60, 20)), (9, (468, 360, 72)),
+                                    (16, (2400, 2040, 240))])
+def test_grc_full_operation_count_is_exact(n, want):
+    # Pinned at the cell-by-cell recursion's count: one inner product of
+    # width w and one step per cell at distance w, (3w+3, 3w, 2) in all.
+    counter = OpCounter()
+    grc_full(random_hermitian_pd(n, seed=n), counter)
+    assert (counter.mul, counter.add, counter.div) == want
+    assert want == (sum((n - w) * (3 * w + 3) for w in range(1, n)),
+                    sum((n - w) * 3 * w for w in range(1, n)),
+                    sum((n - w) * 2 for w in range(1, n)))
