@@ -35,7 +35,8 @@ from .costmodel import (
     opc_triple_sum,
     opcwwr,
 )
-from .fast import CanonicalTables, fetch, tbt_factorization, tbt_grc
+from .fast import CanonicalTables, fetch, fetch_strip, tbt_factorization, \
+    tbt_grc
 from .instances import SplitMix64, gaussian_kernel, generate_pd_tbt
 from .oracle import (
     CoeffTables,
@@ -80,6 +81,7 @@ __all__ = [
     "comparison_table",
     "conj_band",
     "fetch",
+    "fetch_strip",
     "gaussian_kernel",
     "generate_pd_tbt",
     "grc_full",

@@ -26,10 +26,10 @@ from . import costmodel, fileio
 from .core import FactorizationMismatch, InternalIndexError, \
     NotPositiveDefinite, NumericalBreakdown, OpCounter, SingularP, \
     TbtGenerator, assemble_dense
-from .fast import fetch, tbt_factorization, tbt_grc
+from .fast import fetch_strip, tbt_factorization, tbt_grc
 from .instances import generate_pd_tbt
 from .oracle import build_factorization, cells_deviation, grc_full, \
-    inverse_dense, stack_cells
+    inverse_dense
 from .wwr import WwrState, normal_system, wwr_recurse, wwr_residual
 
 EXIT_PASS = 0
@@ -75,14 +75,15 @@ def run_verify(g: TbtGenerator,
                tolerance: float | None = None) -> VerifyReport:
     """Cross-check the fast solver, reference recursion and baseline.
 
-    Stacks the fetched fast cells of each distance into a strip and
-    compares it with the dense reference's strip, measures the
-    materialized-inverse residual, and (for n2 >= 2) the baseline's
-    normal-equation residual.  Without a tolerance, every check must hold
-    to max(1e-8, cond(R) * n * eps), the accuracy a backward-stable solver
-    can promise on R; where that bound reaches 1, the input is beyond
-    working precision and :class:`BeyondWorkingPrecision` is raised
-    before any recursion runs.
+    Reads the fast tables one distance at a time through
+    :func:`~tbtinv.fast.fetch_strip` and compares each strip with the
+    dense reference's (a strip whose supports are off is infinitely
+    apart), measures the materialized-inverse residual, and (for n2 >= 2)
+    the baseline's normal-equation residual.  Without a tolerance, every
+    check must hold to max(1e-8, cond(R) * n * eps), the accuracy a
+    backward-stable solver can promise on R; where that bound reaches 1,
+    the input is beyond working precision and
+    :class:`BeyondWorkingPrecision` is raised before any recursion runs.
     """
     n = g.n
     r = assemble_dense(g)
@@ -95,7 +96,7 @@ def run_verify(g: TbtGenerator,
     tables = tbt_grc(g)
     dev = 0.0
     for w in range(n):
-        got = stack_cells([fetch(tables, k, k + w) for k in range(n - w)])
+        got = fetch_strip(tables, w)
         dev = max(dev, float("inf") if got is None
                   else cells_deviation(got, reference.strips[w]))
     inverse = inverse_dense(tbt_factorization(g, tables=tables))

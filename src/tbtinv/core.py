@@ -44,9 +44,9 @@ class FactorizationMismatch(Exception):
     """A factor diagonal entry departs from the direct quadratic form.
 
     Raised when |F_k^H R F_k - d_k| exceeds the form's rounding bound
-    n * eps * |R|_F * |F_k|^2, which does not grow with the conditioning
-    of R; so it indicates an implementation bug, not an ill-conditioned
-    input.
+    n * eps * |R|_F * |F_k|^2.  Up to cond(R) of about 4e14 that
+    indicates an implementation bug; nearer 1/eps it can be rounding
+    (see :func:`~tbtinv.oracle.build_factorization`).
     """
 
 

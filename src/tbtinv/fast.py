@@ -6,11 +6,15 @@ antidiagonal mirror carry the same information, related by conjugation, a
 support reversal and a shift.  Pairs whose head index lies beyond the
 first block row reduce to a stored pair by a whole-block shift.
 :func:`fetch` serves every pair from that half, and the recursion itself
-reads its predecessors through it.  The matrix is read exclusively
-through column slices built from the generator
-(:func:`~tbtinv.core.column_accessor`, under the accessor contract of
-:func:`~tbtinv.core.column_inner`), never through a dense copy, and the
-total work is O(n1^3 * n2^2) scalar operations.
+reads its predecessors through it.  :func:`fetch_strip` serves every pair
+of one distance at once as a strip: at a fixed distance the block shift
+and the mirror are fixed row permutations of the at most n1 canonical
+rows, so the strip is two row gathers.  The mirror formula is written
+once, in :func:`_mirror_values`, for one cell or for stacked rows.  The
+matrix is read exclusively through column slices built from the
+generator (:func:`~tbtinv.core.column_accessor`, under the accessor
+contract of :func:`~tbtinv.core.column_inner`), never through a dense
+copy, and the total work is O(n1^3 * n2^2) scalar operations.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,8 @@ from .core import (
     shift,
     unit_band,
 )
-from .oracle import GrcEntry, InverseFactor, assemble_factor, grc_step
+from .oracle import GrcEntry, GrcStrip, InverseFactor, _frozen, \
+    assemble_factor, grc_step, stack_cells
 
 
 @dataclass
@@ -65,20 +70,30 @@ def _canonical_rows(n1: int) -> list:
             for r in range(n1)]
 
 
+def _mirror_values(a, ap, v, vp, p, q):
+    """The six values of a pair from those of its stored mirror, for one
+    cell or for stacked rows (polynomial coefficients on the last axis).
+
+    Coefficients swap roles under conjugation, the residual scalars swap
+    (they are real), and each polynomial is the reversed conjugate of its
+    partner.  The coefficients are new arrays; support bookkeeping is the
+    caller's.
+    """
+    return (np.conj(ap), np.conj(a), vp, v,
+            np.conj(q[..., ::-1]), np.conj(p[..., ::-1]))
+
+
 def _mirrored(e: GrcEntry, dk: int) -> GrcEntry:
     """Values at a pair from its stored mirror entry; dk = k - k_mirror.
 
-    Coefficients swap roles under conjugation, the residual scalars swap
-    (they are real), and each polynomial is the shifted, reversed
-    conjugate of its partner.
+    Each polynomial moves to the support of its partner shifted by dk.
     """
-    def reflect(x):
-        coeff = np.conj(x.coeff[::-1])
-        coeff.setflags(write=False)
-        return _band(x.n, x.lo + dk, x.hi + dk, coeff)
-
-    return GrcEntry(np.conj(e.ap), np.conj(e.a), e.vp, e.v,
-                    reflect(e.q), reflect(e.p))
+    a, ap, v, vp, pc, qc = _mirror_values(e.a, e.ap, e.v, e.vp,
+                                          e.p.coeff, e.q.coeff)
+    pc.setflags(write=False)
+    qc.setflags(write=False)
+    return GrcEntry(a, ap, v, vp, _band(e.q.n, e.q.lo + dk, e.q.hi + dk, pc),
+                    _band(e.p.n, e.p.lo + dk, e.p.hi + dk, qc))
 
 
 def _diagonal_entry(g: TbtGenerator, k: int) -> GrcEntry:
@@ -145,6 +160,37 @@ def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
     if tau:
         e = GrcEntry(e.a, e.ap, e.v, e.vp, shift(e.p, tau), shift(e.q, tau))
     return e
+
+
+def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip | None:
+    """Table values for every pair (k, k + w), k = 0 .. n-1-w, as a strip.
+
+    The strip :func:`~tbtinv.oracle.stack_cells` makes of the :func:`fetch`
+    of each pair, read in two row gathers instead.  A whole-block shift
+    keeps the values of a cell, so row k is canonical row k mod n1.  Of the
+    canonical rows k0 < min(n1, n - w), a stored one is read from
+    ``t.entries`` and any other is the mirror of its stored partner row
+    mk = n1-1-((k0+w) mod n1).  The first gather stacks those stored
+    cells, :func:`_mirror_values` mirrors them all at once, and the second
+    expands the canonical and mirrored rows to the n - w rows of the strip.
+    None when a stored cell read does not have the support of its pair.
+    """
+    n1, n = t.g.n1, t.g.n
+    if not 0 <= w <= n - 1:
+        raise IndexError(f"distance {w} outside a {n} x {n} table")
+    k0 = np.arange(min(n1, n - w))
+    mk = index_exchange(k0, k0 + w, n1)[0] if w else k0
+    src = np.minimum(k0, mk).tolist()
+    cells = [t.entries.get((k, k + w)) for k in src]
+    if None in cells:
+        k = src[cells.index(None)]
+        raise InternalIndexError(f"pair ({k}, {k + w}) has no stored value")
+    read = stack_cells(cells, src)
+    if read is None:
+        return None
+    both = [np.concatenate(pair) for pair in zip(read, _mirror_values(*read))]
+    rows = np.where(k0 <= mk, k0, k0 + len(k0))[np.arange(n - w) % n1]
+    return _frozen(GrcStrip(*(x[rows] for x in both)))
 
 
 def _full_width(t: CanonicalTables) -> list:

@@ -8,7 +8,7 @@ import tbtinv.fast
 import tbtinv.wwr
 from tbtinv import BandVector, FactorizationMismatch, InternalIndexError, \
     NumericalBreakdown, assemble_dense, fetch, gaussian_kernel, \
-    generate_pd_tbt, grc_full, tbt_grc
+    generate_pd_tbt, grc_full, index_exchange, tbt_grc
 from tbtinv import cli
 from tbtinv.cli import EXIT_BEYOND_PRECISION, EXIT_FAIL, EXIT_INTERNAL, \
     EXIT_NOT_PD, EXIT_PASS, EXIT_USAGE, main, run_verify
@@ -311,15 +311,22 @@ def test_table_deviation_is_the_cellwise_maximum_gaussian(ell):
 
 
 def test_table_deviation_widened_support_is_inf(monkeypatch):
-    real = cli.fetch
+    # At n1 = 3, (2, 3) is its own mirror, so its row is only read
+    # directly; (1, 3) is read directly and also serves (2, 4) through the
+    # mirror.  Neither is read by the factorization's full-width cells, so
+    # run_verify gets to report.  Widening a stored support must give an
+    # infinite deviation either way.
+    g = generate_pd_tbt(3, 2, seed=8)
+    real = cli.tbt_grc
+    for pair, served in (((2, 3), (2, 3)), ((1, 3), (2, 4))):
+        assert index_exchange(*served, g.n1) == pair
 
-    def widened(t, k, l):
-        e = real(t, k, l)
-        if (k, l) != (1, 2):
-            return e
-        q = BandVector(e.q.n, e.q.lo, e.q.hi + 1, np.append(e.q.coeff, 0))
-        return e._replace(q=q)
+        def widened(g):
+            t = real(g)
+            e = t.entries[pair]
+            q = BandVector(e.q.n, e.q.lo, e.q.hi + 1, np.append(e.q.coeff, 0))
+            t.entries[pair] = e._replace(q=q)
+            return t
 
-    monkeypatch.setattr(cli, "fetch", widened)
-    report = run_verify(generate_pd_tbt(2, 3, seed=8), 1.0)
-    assert report.table_deviation == math.inf
+        monkeypatch.setattr(cli, "tbt_grc", widened)
+        assert run_verify(g, 1.0).table_deviation == math.inf

@@ -21,6 +21,7 @@ from tbtinv import (
     build_factorization,
     conj_band,
     fetch,
+    fetch_strip,
     gaussian_kernel,
     grc_full,
     index_exchange,
@@ -33,7 +34,7 @@ from tbtinv import (
     unit_band,
 )
 from tbtinv.fast import storage_condition
-from tbtinv.oracle import cells_deviation, entry_deviation
+from tbtinv.oracle import cells_deviation, entry_deviation, stack_cells
 from conftest import identity_generator, poison_column
 
 
@@ -147,6 +148,68 @@ def test_fetch_missing_entry_is_internal_error():
     hollow = CanonicalTables(g, {})
     with pytest.raises(InternalIndexError):
         fetch(hollow, 0, 1)
+
+
+def _fetched_strip(t, w):
+    return stack_cells([fetch(t, k, k + w) for k in range(t.g.n - w)])
+
+
+def _assert_strips_are_fetched_strips(t):
+    for w in range(t.g.n):
+        got, want = fetch_strip(t, w), _fetched_strip(t, w)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert not x.flags.writeable
+
+
+def _mirrored_rows(t, w):
+    """Rows of strip w that :func:`fetch` rebuilds from a stored mirror."""
+    n1 = t.g.n1
+    return [k for k in range(t.g.n - w)
+            if not t.is_stored(k % n1, k % n1 + w)]
+
+
+def _check_strip_view(g):
+    t = tbt_grc(g)
+    _assert_strips_are_fetched_strips(t)
+    plain = [fetch_strip(t, w).a for w in range(g.n)]
+    # Mark the shared mirror formula's output: fetch and the strip view
+    # must still agree, and exactly the mirrored rows must carry the mark.
+    real = tbtinv.fast._mirror_values
+
+    def marked(*values):
+        a, ap, v, vp, p, q = real(*values)
+        return a + 1.0, ap, v, vp, p, q
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tbtinv.fast, "_mirror_values", marked)
+        _assert_strips_are_fetched_strips(t)
+        for w in range(g.n):
+            changed = np.flatnonzero(fetch_strip(t, w).a != plain[w])
+            assert changed.tolist() == _mirrored_rows(t, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.integers(1, 6), n2=st.integers(1, 6), seed=st.integers(0, 2**32))
+@example(n1=1, n2=6, seed=0)
+@example(n1=6, n2=1, seed=0)
+@example(n1=6, n2=6, seed=0)
+def test_strip_view_is_the_fetched_strip(n1, n2, seed):
+    _check_strip_view(generate_pd_tbt(n1, n2, seed))
+
+
+@pytest.mark.parametrize("ell", [1.0, 2.0, 3.0])
+def test_strip_view_is_the_fetched_strip_gaussian(ell):
+    _check_strip_view(gaussian_kernel(8, 8, ell))
+
+
+def test_strip_view_range_and_missing_entry():
+    t = tbt_grc(identity_generator(2, 2))
+    for w in (-1, 4):
+        with pytest.raises(IndexError):
+            fetch_strip(t, w)
+    with pytest.raises(InternalIndexError):
+        fetch_strip(CanonicalTables(t.g, {}), 1)
 
 
 def test_canonical_coverage():

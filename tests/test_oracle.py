@@ -11,6 +11,7 @@ from tbtinv import (
     NotPositiveDefinite,
     NumericalBreakdown,
     OpCounter,
+    SingularP,
     TbtGenerator,
     apply_inverse,
     band_to_dense,
@@ -350,6 +351,25 @@ def test_build_factorization_accepts_ill_conditioned(ell):
     r = assemble_dense(gaussian_kernel(8, 8, ell))
     f = build_factorization(grc_full(r))
     assert f.n == 64
+
+
+@pytest.mark.parametrize("n1,n2", [(8, 8), (4, 16), (16, 4), (6, 6)])
+def test_gaussian_sweep_never_reports_an_internal_error(n1, n2):
+    # Condition numbers up to and past 1/eps.  Near there either solver may
+    # lose definiteness, but an error the CLI reports as an implementation
+    # bug (exit 4: NumericalBreakdown, FactorizationMismatch,
+    # InternalIndexError) must not appear.
+    solved = 0
+    for ell in np.linspace(2.8, 4.2, 57):
+        g = gaussian_kernel(n1, n2, ell)
+        for solve in (lambda: tbt_factorization(g),
+                      lambda: build_factorization(grc_full(assemble_dense(g)))):
+            try:
+                solve()
+            except (NotPositiveDefinite, SingularP):
+                continue
+            solved += 1
+    assert solved > 0
 
 
 def test_build_factorization_rejects_corrupted_diagonal():
