@@ -34,24 +34,25 @@ PIVOT_TOL = 1e3 * np.finfo(float).eps
 
 @dataclass
 class WwrState:
-    """Recursion state after one order: coefficients A_1..A_order, the
-    prediction-error block P and the innovation block of that order."""
+    """State after one order: coefficients A_1..A_order as an (order, n1, n1)
+    stack, the prediction-error block P and that order's innovation block."""
 
     order: int
-    coeffs: list
+    coeffs: np.ndarray
     prediction_error: np.ndarray
     innovation: np.ndarray
 
 
-def block(g: TbtGenerator, d: int) -> np.ndarray:
-    """Block d of the first block row: entry (u, v) is c(d, v - u)."""
+def block(g: TbtGenerator, d: int | np.ndarray) -> np.ndarray:
+    """Block d of the first block row: entry (u, v) is c(d, v - u).  An
+    integer array ``d`` of shape (k, 1, 1) gives a (k, n1, n1) stack."""
     u = np.arange(g.n1)
     return _lookup(g, d, u[None, :] - u[:, None])
 
 
 def flip_conj(a: np.ndarray) -> np.ndarray:
-    """Conjugate with reversed row and column order."""
-    return np.conj(a)[::-1, ::-1]
+    """Conjugate with reversed row and column order, block by block."""
+    return np.conj(a)[..., ::-1, ::-1]
 
 
 def _solve_right(b: np.ndarray, a: np.ndarray,
@@ -90,10 +91,13 @@ def _require_pd(p: np.ndarray, order: int) -> None:
 
 def _matmul(a: np.ndarray, b: np.ndarray,
             counter: OpCounter | None = None) -> np.ndarray:
+    """Block product a @ b, broadcast over leading stack axes: every
+    entry of every product block is charged k multiplies and k - 1 adds."""
+    out = a @ b
     if counter is not None:
-        counter.mul += a.shape[0] * a.shape[1] * b.shape[1]
-        counter.add += a.shape[0] * (a.shape[1] - 1) * b.shape[1]
-    return a @ b
+        counter.mul += out.size * a.shape[-1]
+        counter.add += out.size * (a.shape[-1] - 1)
+    return out
 
 
 def wwr_recurse(g: TbtGenerator,
@@ -105,28 +109,23 @@ def wwr_recurse(g: TbtGenerator,
     raises NotPositiveDefinite, a singular one SingularP; either means
     the input is not positive definite.
     """
-    n1, n2 = g.n1, g.n2
-    if n2 < 2:
+    if g.n2 < 2:
         raise ValueError("the block recursion needs n2 >= 2")
-    r_blocks = [block(g, d) for d in range(n2)]
-    p = r_blocks[0]
+    r = block(g, np.arange(g.n2)[:, None, None])
+    p = r[0]
     _require_pd(p, 0)
-    coeffs = []
+    a = r[:0]
     states = []
-    for order in range(1, n2):
-        delta = r_blocks[order].copy()
-        for l in range(1, order):
-            delta += _matmul(coeffs[l - 1], r_blocks[order - l], counter)
+    for order in range(1, g.n2):
+        # Delta = R_m + sum A_l R_{m-l}, and A_k += A_new flip_conj(A_{m-k}).
+        delta = r[order] + _matmul(a, r[order - 1:0:-1], counter).sum(axis=0)
         a_new = -_solve_right(delta, p, counter)
-        updated = [coeffs[k - 1] + _matmul(a_new, flip_conj(coeffs[order - k - 1]),
-                                           counter)
-                   for k in range(1, order)]
-        updated.append(a_new)
+        a = np.concatenate((a + _matmul(a_new, flip_conj(a[::-1]), counter),
+                            a_new[None]))
         # The backward reflection block is the conjugate-flip of a_new.
         p = p + _matmul(flip_conj(a_new), delta, counter)
         _require_pd(p, order)
-        coeffs = updated
-        states.append(WwrState(order, coeffs, p, delta))
+        states.append(WwrState(order, a, p, delta))
     return states
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tbtinv import InverseFactor, TbtGenerator, assemble_dense, \
     generate_pd_tbt
@@ -138,3 +140,66 @@ def test_factor_errors():
         parse_factor("2\n0 1 1 0 nan 0\n1 1 1 0\n1 1\n")
     with pytest.raises(ValueError, match="positive"):
         parse_factor("2\n0 1 1 0 0 0\n1 1 1 0\n1 0\n")
+
+
+# Signed zeros and subnormals are drawn often, not left to chance.
+EDGE = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2e-320])
+FINITE = EDGE | st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = (st.sampled_from([5e-324, 1e-310])
+            | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+
+
+def _complex_array(draw, rows, cols):
+    return draw(arrays(float, (rows, 2 * cols), elements=FINITE)).view(complex)
+
+
+@st.composite
+def generators(draw):
+    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    c = _complex_array(draw, n2, 2 * n1 - 1)
+    mid = n1 - 1
+    c[0, :mid] = np.conj(c[0, mid + 1:][::-1])
+    c[0, mid] = draw(POSITIVE)
+    return TbtGenerator(n1, n2, c)
+
+
+@st.composite
+def dense_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return _complex_array(draw, n, n)
+
+
+@st.composite
+def factors(draw):
+    n = draw(st.integers(1, 6))
+    lower = np.tril(_complex_array(draw, n, n), -1)
+    np.fill_diagonal(lower, 1.0)
+    diag = draw(arrays(float, n, elements=POSITIVE))
+    return InverseFactor(lower, diag)
+
+
+# Strategy, text pair, file pair and the arrays that carry the value.
+ROUNDTRIP = {
+    "generator": (generators(), format_generator, parse_generator,
+                  write_generator, read_generator, lambda g: (g.c,)),
+    "dense": (dense_matrices(), format_dense, parse_dense,
+              write_dense, read_dense, lambda a: (a,)),
+    "factor": (factors(), format_factor, parse_factor,
+               write_factor, read_factor, lambda f: (f.lower, f.diag)),
+}
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_roundtrip_is_bitwise(name, data, tmp_path):
+    strategy, fmt, parse, write, read, values = ROUNDTRIP[name]
+    x = data.draw(strategy)
+    path = tmp_path / "x.txt"
+    write(x, path)
+    for back in (parse(fmt(x)), read(path)):
+        for got, want in zip(values(back), values(x)):
+            assert got.shape == want.shape
+            assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))

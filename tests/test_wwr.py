@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tbtinv import (
     NotPositiveDefinite,
@@ -11,7 +12,7 @@ from tbtinv import (
     wwr_recurse,
     wwr_residual,
 )
-from tbtinv.wwr import block, flip_conj, normal_system
+from tbtinv.wwr import _matmul, _solve_right, block, flip_conj, normal_system
 from conftest import identity_generator, random_generator
 
 
@@ -21,12 +22,17 @@ def test_block_extraction():
     for d in range(3):
         assert np.array_equal(block(g, d), r[0:3, 3 * d:3 * (d + 1)])
     assert np.array_equal(block(g, -2), block(g, 2).conj().T)
+    assert np.array_equal(block(g, np.arange(3)[:, None, None]),
+                          np.stack([block(g, d) for d in range(3)]))
 
 
 def test_flip_conj():
     a = np.array([[1 + 1j, 2.0], [3.0, 4 - 2j]])
     got = flip_conj(a)
     assert np.array_equal(got, np.conj(a)[::-1, ::-1])
+    stack = np.stack((a, 2j * a))
+    assert np.array_equal(flip_conj(stack),
+                          np.stack([flip_conj(b) for b in stack]))
 
 
 def test_identity_input_gives_zero_coefficients():
@@ -95,6 +101,12 @@ def test_block_operation_count_structure():
     (1, 5, 6, (16, 0, 4)),
     (3, 4, 2, (312, 231, 36)),
     (4, 6, 5, (1910, 1510, 110)),
+    # The benchmark's shapes; the counts depend on the shape only.
+    (1, 64, 1, (3969, 0, 63)),
+    (4, 16, 1, (15330, 11730, 330)),
+    (16, 4, 1, (52104, 49800, 1128)),
+    (8, 8, 1, (29204, 26068, 644)),
+    (4, 48, 1, (144290, 108946, 1034)),
 ])
 def test_block_operation_count_exact(n1, n2, seed, want):
     # The block solves are charged the cost of an LU with partial
@@ -138,3 +150,44 @@ def test_residual_requires_final_state():
     states = wwr_recurse(g)
     with pytest.raises(ValueError):
         wwr_residual(g, states[0])
+
+
+def blockwise_states(g, counter=None):
+    """The block recursion one block product at a time over lists of
+    blocks, with the library's charges: (order, coeffs, prediction error,
+    innovation) after each order."""
+    r = [block(g, d) for d in range(g.n2)]
+    p = r[0]
+    coeffs = []
+    states = []
+    for order in range(1, g.n2):
+        delta = r[order].copy()
+        for l in range(1, order):
+            delta += _matmul(coeffs[l - 1], r[order - l], counter)
+        a_new = -_solve_right(delta, p, counter)
+        coeffs = [coeffs[k - 1]
+                  + _matmul(a_new, flip_conj(coeffs[order - k - 1]), counter)
+                  for k in range(1, order)] + [a_new]
+        p = p + _matmul(flip_conj(a_new), delta, counter)
+        states.append((order, coeffs, p, delta))
+    return states
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.integers(1, 5), n2=st.integers(2, 12),
+       seed=st.integers(0, 2**32 - 1))
+@example(n1=1, n2=64, seed=0)
+def test_stacked_recursion_matches_blockwise_reference(n1, n2, seed):
+    g = generate_pd_tbt(n1, n2, seed)
+    got_ops, want_ops = OpCounter(), OpCounter()
+    states = wwr_recurse(g, got_ops)
+    want = blockwise_states(g, want_ops)
+    assert [state.order for state in states] == [w[0] for w in want]
+    for state, (_, coeffs, p, delta) in zip(states, want):
+        for got, ref in ((state.coeffs, np.stack(coeffs)),
+                         (state.prediction_error, p),
+                         (state.innovation, delta)):
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert ((got_ops.mul, got_ops.add, got_ops.div)
+            == (want_ops.mul, want_ops.add, want_ops.div))
