@@ -187,8 +187,8 @@ def column_accessor(g: TbtGenerator):
     return m
 
 
-def validate_hermitian(a: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """Check that ``a`` is square Hermitian within ``tol`` (relative)."""
+def validate_hermitian(a: np.ndarray) -> np.ndarray:
+    """Check that ``a`` is square Hermitian within 1e-12 (relative)."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -196,7 +196,7 @@ def validate_hermitian(a: np.ndarray, tol: float = 0.0) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
     scale = max(np.max(np.abs(a)), 1.0) if a.size else 1.0
-    if dev > tol * scale:
+    if dev > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:g})")
     return a
 
@@ -253,9 +253,9 @@ def _band(n: int, lo: int, hi: int, coeff: np.ndarray) -> BandVector:
     The caller guarantees that ``coeff`` is a finite, read-only 1-D
     complex array: :func:`~tbtinv.oracle.grc_step` and
     :func:`~tbtinv.oracle.grc_strip_step` check each polynomial they create
-    once and freeze it, :func:`unit_band` builds a constant,
-    and :func:`shift` and the mirror reconstruction reuse, or conjugate
-    and freeze, such an array.  Only the integer invariants are checked
+    once and freeze it, :func:`unit_band` builds a constant, :func:`shift`
+    reuses such an array, and :func:`~tbtinv.fast.fetch` reuses one or
+    conjugates and freezes it.  Only the integer invariants are checked
     here: 0 <= lo <= hi <= n-1 and one coefficient per support index.  A
     failure is an index derivation gone wrong, so it raises
     :class:`InternalIndexError`.

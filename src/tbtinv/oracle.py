@@ -282,7 +282,7 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
     independently.  The steps check every value they produce, so numpy's
     warnings about non-finite values are silenced for the sweep.
     """
-    R = validate_hermitian(R, tol=1e-12)
+    R = validate_hermitian(R)
     n = R.shape[0]
     if n < 1:
         raise ValueError("matrix must be at least 1 x 1")
@@ -304,12 +304,12 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
     return CoeffTables(n, R, strips)
 
 
-def stack_cells(cells: list, heads=None) -> GrcStrip | None:
-    """The strip of the cells (k, k + w), k running over ``heads`` (by
-    default 0 .. len-1), with w the first cell's distance; None when a
-    polynomial's support is not that of its cell."""
+def stack_cells(cells: list, heads) -> GrcStrip | None:
+    """The strip of the cells (k, k + w), k running over ``heads``, with w
+    the first cell's distance; None when a polynomial's support is not
+    that of its cell."""
     w = cells[0].p.hi - cells[0].p.lo
-    for k, e in zip(range(len(cells)) if heads is None else heads, cells):
+    for k, e in zip(heads, cells):
         if (e.p.lo, e.p.hi, e.q.lo, e.q.hi) != (k, k + w, k, k + w):
             return None
     x = np.array([(e.a, e.ap, e.v, e.vp) for e in cells], dtype=complex)

@@ -217,6 +217,29 @@ def test_verify_beyond_working_precision(tmp_path, capsys, monkeypatch):
     assert captured.err.endswith(" >= 1\n") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n1,n2", [(8, 8), (4, 16), (16, 4), (6, 6)])
+def test_verify_gaussian_sweep_passes_only_within_working_precision(
+        tmp_path, capsys, n1, n2):
+    # Condition numbers up to and past 1/eps.  Without a tolerance,
+    # verify must never report an implementation bug (exit 4), and it may
+    # pass only where cond(R) * n * eps < 1.
+    eps = np.finfo(float).eps
+    gen = tmp_path / "g.txt"
+    status = {}
+    for ell in np.linspace(2.8, 4.2, 57):
+        g = gaussian_kernel(n1, n2, ell)
+        write_generator(g, gen)
+        code = main(["verify", "--input", str(gen)])
+        assert code != EXIT_INTERNAL, ell
+        if code == EXIT_PASS:
+            assert np.linalg.cond(assemble_dense(g)) * g.n * eps < 1.0, ell
+        status[code] = status.get(code, 0) + 1
+    assert set(status) <= {EXIT_PASS, EXIT_FAIL, EXIT_NOT_PD,
+                           EXIT_BEYOND_PRECISION}
+    assert EXIT_BEYOND_PRECISION in status
+    capsys.readouterr()
+
+
 def test_verify_not_pd(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     # Tiny zero lag against unit off-diagonal lags: indefinite.

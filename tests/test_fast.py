@@ -144,14 +144,41 @@ def test_fetch_range_check():
 
 
 def test_fetch_missing_entry_is_internal_error():
+    # A direct pair, diagonal pairs in and past the first block row, and a
+    # pair served by its mirror (0, 2).
     g = identity_generator(2, 2)
     hollow = CanonicalTables(g, {})
-    with pytest.raises(InternalIndexError):
-        fetch(hollow, 0, 1)
+    assert not storage_condition(1, 3, 2)
+    for k, l in ((0, 1), (0, 0), (3, 3), (1, 3)):
+        with pytest.raises(InternalIndexError):
+            fetch(hollow, k, l)
+
+
+def test_reads_do_not_recompute_the_storage_rule(monkeypatch):
+    # Once the map of a block size is built, the recursion, fetch and the
+    # strip view never evaluate the mirror index again.
+    def boom(*args):
+        raise AssertionError("index_exchange called after the map was built")
+
+    for n1, n2 in ((5, 4), (1, 7), (7, 1)):
+        g = generate_pd_tbt(n1, n2, seed=n1 + n2)
+        want = tbt_factorization(g)
+        with monkeypatch.context() as mp:
+            mp.setattr(tbtinv.fast, "index_exchange", boom)
+            got = tbt_factorization(g)
+            t = tbt_grc(g)
+            for k in range(g.n):
+                for l in range(k, g.n):
+                    fetch(t, k, l)
+            for w in range(g.n):
+                assert fetch_strip(t, w) is not None
+        assert np.array_equal(got.lower, want.lower)
+        assert np.array_equal(got.diag, want.diag)
 
 
 def _fetched_strip(t, w):
-    return stack_cells([fetch(t, k, k + w) for k in range(t.g.n - w)])
+    heads = range(t.g.n - w)
+    return stack_cells([fetch(t, k, k + w) for k in heads], heads)
 
 
 def _assert_strips_are_fetched_strips(t):
@@ -214,8 +241,10 @@ def test_strip_view_range_and_missing_entry():
 
 def test_canonical_coverage():
     # Loop enumeration plus diagonals == storage predicate == actual keys.
-    for n1 in range(1, 7):
-        for n2 in range(1, 7):
+    # From n2 = 2 on every residue of the distance mod n1 occurs, so the
+    # larger block sizes need few block rows.
+    for n1 in range(1, 13):
+        for n2 in range(1, 7 if n1 <= 6 else 4):
             want = loop_pairs(n1, n2) | {(k, k) for k in range(n1)}
             predicate = {(k, l)
                          for k in range(n1 * n2)
