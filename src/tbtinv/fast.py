@@ -11,7 +11,9 @@ n1 x n1 map, :func:`_source_map`, is the one place the storage rule is
 written, and :func:`_mirror_values` the one place the mirror formula is.
 :func:`fetch` serves every pair from the stored half, and the recursion
 itself reads its predecessors through it; :func:`fetch_strip` serves
-every pair of one distance at once, in two row gathers.  The matrix is
+every pair of one distance at once, in two row gathers; and
+:func:`tbt_factorization` reads the n stored cells its columns come from
+straight through :func:`_source`.  The matrix is
 read exclusively through column slices built from the generator
 (:func:`~tbtinv.core.column_accessor`, under the accessor contract of
 :func:`~tbtinv.core.column_inner`), never through a dense copy, and the
@@ -188,24 +190,30 @@ def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip | None:
     return _frozen(GrcStrip(*(x[rows] for x in both)))
 
 
-def _full_width(t: CanonicalTables) -> list:
-    """The ``(p, vp)`` pairs of the full-width cells (k, n-1), k = 0 ..
-    n-1: all that :func:`~tbtinv.oracle.assemble_factor` needs of the
-    tables."""
-    n = t.g.n
-    return [(e.p, e.vp) for e in (fetch(t, k, n - 1) for k in range(n))]
-
-
 def tbt_factorization(g: TbtGenerator, counter: OpCounter | None = None, *,
                       tables: CanonicalTables | None = None) -> InverseFactor:
     """Inverse factor of the TBT matrix from the half-table recursion.
 
     Matches the factor the dense reference recursion produces, but never
     assembles the matrix.  A caller that already holds ``tbt_grc(g)``
-    passes it as ``tables`` and the recursion is not run again.
-    Otherwise the tables are released once their full-width cells are
-    read, before the n x n factor is allocated, so the two are never held
-    at once.
+    passes it as ``tables``: the recursion is not run again and
+    ``counter`` is not charged, and tables of another generator raise
+    ValueError.  Column k is the full-width cell (k, n-1), which
+    :func:`_source` serves from one stored cell.  Only those n cells are
+    kept once the tables are released; the ones served by their mirror
+    go through :func:`_mirror_values` one at a time, as the n x n factor
+    takes them.
     """
-    cells = _full_width(tables if tables is not None else tbt_grc(g, counter))
-    return assemble_factor(cells)
+    t = tables if tables is not None else tbt_grc(g, counter)
+    if not np.array_equal(t.g.c, g.c):  # c's shape fixes n1 and n2
+        raise ValueError("tables were computed from another generator")
+    sources = [_source(t, k % g.n1, g.n - 1 - k) for k in range(g.n)]
+    del t
+
+    def columns():
+        for k, (s, e) in enumerate(sources):
+            a, ap, v, vp, p, q = *e[:4], e.p.coeff, e.q.coeff
+            if s != k % g.n1:
+                a, ap, v, vp, p, q = _mirror_values(a, ap, v, vp, p, q)
+            yield p, vp
+    return assemble_factor(columns())

@@ -69,10 +69,9 @@ def parse_generator(text: str) -> TbtGenerator:
     if len(lines) != 1 + n2:
         raise ValueError(f"generator file: expected {n2} data rows, "
                          f"got {len(lines) - 1}")
-    c = np.empty((n2, 2 * n1 - 1), dtype=complex)
-    for d in range(n2):
-        c[d] = _complex_row(lines[1 + d], 2 * n1 - 1, f"generator row {d}")
-    return TbtGenerator(n1, n2, c)
+    c = [_complex_row(lines[1 + d], 2 * n1 - 1, f"generator row {d}")
+         for d in range(n2)]
+    return TbtGenerator(n1, n2, np.array(c))
 
 
 def write_generator(g: TbtGenerator, path) -> None:
@@ -106,10 +105,9 @@ def parse_dense(text: str) -> np.ndarray:
         raise ValueError("dense file: first line must be the size") from None
     if len(lines) != 1 + n:
         raise ValueError(f"dense file: expected {n} rows, got {len(lines) - 1}")
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        out[i] = _complex_row(lines[1 + i], n, f"dense row {i}")
-    return out
+    rows = [_complex_row(line, n, f"dense row {i}")
+            for i, line in enumerate(lines[1:])]
+    return np.array(rows, dtype=complex).reshape(n, n)
 
 
 def write_dense(a: np.ndarray, path) -> None:
@@ -143,7 +141,6 @@ def parse_factor(text: str) -> InverseFactor:
     if len(lines) != 2 + n:
         raise ValueError(f"factor file: expected {n} column lines plus a "
                          f"diagonal line")
-    lower = np.zeros((n, n), dtype=complex)
     for k in range(n):
         parts = lines[1 + k].split()
         if len(parts) < 2:
@@ -151,8 +148,13 @@ def parse_factor(text: str) -> InverseFactor:
         if (int(parts[0]), int(parts[1])) != (k, n - 1):
             raise ValueError(f"factor column {k} must be supported on "
                              f"[{k}, {n - 1}]")
-        lower[k:, k] = _complex_row(" ".join(parts[2:]), n - k,
-                                    f"factor column {k}")
+        column = _complex_row(" ".join(parts[2:]), n - k,
+                              f"factor column {k}")
+        # Allocated only once column 0 has shown its n values, so a size
+        # no column line backs fails before the n x n allocation.
+        if k == 0:
+            lower = np.zeros((n, n), dtype=complex)
+        lower[k:, k] = column
     diag = _floats(lines[1 + n], n, "factor diagonal")
     return InverseFactor(lower, np.asarray(diag, dtype=float))
 

@@ -125,8 +125,9 @@ class InverseFactor:
             raise ValueError("factor needs a square array and one diagonal "
                              "entry per column")
         n = diag.shape[0]
-        if not np.all(diag > 0.0):
-            raise ValueError("factor diagonal must be strictly positive")
+        if not np.all(np.isfinite(diag) & (diag > 0.0)):
+            raise ValueError("factor diagonal must be finite and strictly "
+                             "positive")
         heads = np.flatnonzero(np.abs(np.diagonal(lower) - 1.0) > 1e-12)
         if heads.size:
             raise ValueError(f"column {heads[0]} must have unit head")
@@ -350,24 +351,22 @@ def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
     return cells_deviation(x, y)
 
 
-def assemble_factor(cells: list) -> InverseFactor:
+def assemble_factor(cells) -> InverseFactor:
     """Inverse factor from the full-width cells (k, n-1), k = 0 .. n-1,
-    given as their ``(p, vp)`` pairs.
-
-    Column k is the conjugate of the full-width forward polynomial p,
-    which makes both the inverse product F diag^-1 F^H and the
-    diagonality of F^H R F hold literally; the diagonal holds the head
-    residuals.
+    read once, in order, as ``(p, vp)`` pairs, p the coefficients on
+    [k, n-1]; the first fixes n.  Column k is the conjugate of the
+    full-width forward polynomial p, which makes both the inverse product
+    F diag^-1 F^H and the diagonality of F^H R F hold literally; the
+    diagonal holds the head residuals.
     """
-    n = len(cells)
-    lower = np.zeros((n, n), dtype=complex)
-    diag = np.empty(n, dtype=float)
     for k, (p, vp) in enumerate(cells):
-        if p.lo != k or p.hi != n - 1:
+        if k == 0:
+            n = len(p)
+            lower, diag = np.zeros((n, n), dtype=complex), np.empty(n)
+        if len(p) != n - k:
             raise InternalIndexError(
-                f"full-width cell {k} has support [{p.lo}, {p.hi}], not "
-                f"[{k}, {n - 1}]")
-        np.conj(p.coeff, out=lower[k:, k])
+                f"full-width cell {k} has {len(p)} coefficients, not {n - k}")
+        np.conj(p, out=lower[k:, k])
         diag[k] = vp
     return InverseFactor(lower, diag)
 
@@ -385,8 +384,8 @@ def build_factorization(t: CoeffTables) -> InverseFactor:
     seen on a 16 x 4 Gaussian kernel of cond 6.8e15), so a mismatch there
     need not be an implementation bug.
     """
-    f = assemble_factor([(e.p, e.vp) for e in
-                         (t.get(k, t.n - 1) for k in range(t.n))])
+    f = assemble_factor((s.p[k], s.vp[k])
+                        for k, s in enumerate(reversed(t.strips)))
     R = t.matrix
     rounding = t.n * np.finfo(float).eps * np.linalg.norm(R)
     for k in range(t.n):

@@ -261,7 +261,11 @@ def test_usage_errors(tmp_path, capsys):
     for tol in ("0", "-1", "inf"):
         assert main(["verify", "--input", str(valid),
                      "--tolerance", tol]) == EXIT_USAGE
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000000000 1\n1 0\n")  # sizes its row lacks
     capsys.readouterr()
+    assert main(["verify", "--input", str(huge)]) == EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_run_verify_identity():

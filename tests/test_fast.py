@@ -367,12 +367,57 @@ def _peak_bytes(fn, *args):
 
 
 def test_factorization_peak_is_the_table_peak():
-    # The tables are released before the n x n factor is allocated; holding
-    # both would raise the peak about 10% above the recursion's own.  The
-    # first call is left out: it also allocates one-time caches.
+    # Only the n source cells of the factor outlive the tables, and the
+    # mirrored columns are made one at a time after the tables are
+    # released, so the peak is the recursion's own (the ratio reads 1.0000
+    # here).  Holding the tables and the n x n factor at once would raise
+    # it about 10%.  The first call is left out: it also allocates one-time
+    # caches.
     g = generate_pd_tbt(16, 16, seed=15)
     tbt_factorization(g)
     assert _peak_bytes(tbt_factorization, g) <= 1.05 * _peak_bytes(tbt_grc, g)
+
+
+@pytest.mark.parametrize("n1,n2", [(16, 16), (1, 7), (7, 1)])
+def test_factorization_from_tables_reads_stored_cells_only(monkeypatch,
+                                                           n1, n2):
+    g = generate_pd_tbt(n1, n2, seed=n1 + n2)
+    t = tbt_grc(g)
+    want = tbt_factorization(g)
+
+    def no_fetch(*args):
+        raise AssertionError("the factor must not fetch")
+
+    monkeypatch.setattr(tbtinv.fast, "fetch", no_fetch)
+    counter = OpCounter()
+    got = tbt_factorization(g, counter, tables=t)
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.diag, want.diag)
+    assert counter.total == 0  # the recursion did not run again
+
+
+def test_factorization_source_cell_of_wrong_length():
+    # The source cell of every column, stored or mirrored, in turn, but
+    # the last, whose one coefficient cannot be cut.
+    g = generate_pd_tbt(3, 4, seed=18)
+    t = tbt_grc(g)
+    n = g.n
+    for k in range(n - 1):
+        w = n - 1 - k
+        s, e = tbtinv.fast._source(t, k % g.n1, w)
+        p, q = (BandVector(n, b.lo, b.hi - 1, b.coeff[:-1])
+                for b in (e.p, e.q))
+        bad = CanonicalTables(g, {**t.entries,
+                                  (s, s + w): e._replace(p=p, q=q)})
+        with pytest.raises(InternalIndexError, match="full-width cell"):
+            tbt_factorization(g, tables=bad)
+
+
+def test_factorization_rejects_tables_of_another_generator():
+    g = generate_pd_tbt(2, 3, seed=1)
+    for other in (generate_pd_tbt(2, 3, seed=2), generate_pd_tbt(3, 2, seed=1)):
+        with pytest.raises(ValueError, match="another generator"):
+            tbt_factorization(g, tables=tbt_grc(other))
 
 
 def test_factorization_residual():

@@ -88,6 +88,8 @@ def test_generator_comments_and_errors():
         parse_generator("2 2\n1 0 2 0\n")  # wrong row width and count
     with pytest.raises(ValueError):
         parse_generator("a b\n")
+    with pytest.raises(ValueError, match="expected"):
+        parse_generator("1000000000000000 1\n1 0\n")  # sizes the rows lack
 
 
 def test_dense_roundtrip(tmp_path):
@@ -107,6 +109,8 @@ def test_dense_errors():
         parse_dense("2\n1 0 0 0\n")
     with pytest.raises(ValueError):
         parse_dense("1\n1 0 3 0\n")
+    with pytest.raises(ValueError, match="dense row 0"):
+        parse_dense("100000\n" + "1 0\n" * 100000)  # size the rows lack
 
 
 def test_factor_roundtrip(tmp_path):
@@ -140,6 +144,13 @@ def test_factor_errors():
         parse_factor("2\n0 1 1 0 nan 0\n1 1 1 0\n1 1\n")
     with pytest.raises(ValueError, match="positive"):
         parse_factor("2\n0 1 1 0 0 0\n1 1 1 0\n1 0\n")
+    with pytest.raises(ValueError, match="positive"):
+        parse_factor("2\n0 1 1 0 0.5 0\n1 1 1 0\ninf 2\n")
+    # A size the column lines lack.
+    n = 100000
+    columns = "".join(f"{k} {n - 1} 1 0\n" for k in range(n))
+    with pytest.raises(ValueError, match="factor column 0"):
+        parse_factor(f"{n}\n{columns}1\n")
 
 
 # Signed zeros and subnormals are drawn often, not left to chance.
