@@ -12,6 +12,10 @@ factor file      line 1: ``n``; then n column lines ``k n-1 re im ...``
                  holding column k of the unit-lower-triangular factor on
                  its support [k, n-1]; final line: the n positive
                  diagonal values.
+
+The first line's integers fix how many data lines must follow, and a
+header whose sizes the text cannot hold is rejected before anything is
+allocated.
 """
 
 import numpy as np
@@ -27,11 +31,26 @@ def _row(values) -> str:
     return " ".join(map(repr, floats.tolist()))
 
 
-def _data_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield line
+def _sized(text: str, what: str, head: str, rows) -> tuple:
+    """The sizes on the first data line, named by ``head``, and the data
+    lines after it, which must number ``rows(*sizes)``.  Blank and ``#``
+    lines are skipped."""
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    if not lines:
+        raise ValueError(f"{what} file: empty")
+    try:
+        sizes = [int(part) for part in lines[0].split()]
+    except ValueError:
+        sizes = []
+    if len(sizes) != len(head.split()) or min(sizes) < 0:
+        raise ValueError(f"{what} file: first line must be '{head}', "
+                         f"nonnegative integers")
+    count = rows(*sizes)
+    if len(lines) != 1 + count:
+        raise ValueError(f"{what} file: expected {count} data lines, "
+                         f"got {len(lines) - 1}")
+    return sizes, lines[1:]
 
 
 def _floats(line: str, count: int, what: str) -> list:
@@ -56,21 +75,9 @@ def format_generator(g: TbtGenerator) -> str:
 
 
 def parse_generator(text: str) -> TbtGenerator:
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ValueError("generator file: empty")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("generator file: first line must be 'n1 n2'")
-    try:
-        n1, n2 = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError("generator file: sizes must be integers") from None
-    if len(lines) != 1 + n2:
-        raise ValueError(f"generator file: expected {n2} data rows, "
-                         f"got {len(lines) - 1}")
-    c = [_complex_row(lines[1 + d], 2 * n1 - 1, f"generator row {d}")
-         for d in range(n2)]
+    (n1, n2), lines = _sized(text, "generator", "n1 n2", lambda n1, n2: n2)
+    c = [_complex_row(line, 2 * n1 - 1, f"generator row {d}")
+         for d, line in enumerate(lines)]
     return TbtGenerator(n1, n2, np.array(c))
 
 
@@ -96,17 +103,9 @@ def format_dense(a: np.ndarray) -> str:
 
 
 def parse_dense(text: str) -> np.ndarray:
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ValueError("dense file: empty")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError("dense file: first line must be the size") from None
-    if len(lines) != 1 + n:
-        raise ValueError(f"dense file: expected {n} rows, got {len(lines) - 1}")
+    (n,), lines = _sized(text, "dense", "n", lambda n: n)
     rows = [_complex_row(line, n, f"dense row {i}")
-            for i, line in enumerate(lines[1:])]
+            for i, line in enumerate(lines)]
     return np.array(rows, dtype=complex).reshape(n, n)
 
 
@@ -131,18 +130,9 @@ def format_factor(f: InverseFactor) -> str:
 
 
 def parse_factor(text: str) -> InverseFactor:
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ValueError("factor file: empty")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError("factor file: first line must be the size") from None
-    if len(lines) != 2 + n:
-        raise ValueError(f"factor file: expected {n} column lines plus a "
-                         f"diagonal line")
+    (n,), lines = _sized(text, "factor", "n", lambda n: n + 1)
     for k in range(n):
-        parts = lines[1 + k].split()
+        parts = lines[k].split()
         if len(parts) < 2:
             raise ValueError(f"factor column {k}: missing support bounds")
         if (int(parts[0]), int(parts[1])) != (k, n - 1):
@@ -150,12 +140,15 @@ def parse_factor(text: str) -> InverseFactor:
                              f"[{k}, {n - 1}]")
         column = _complex_row(" ".join(parts[2:]), n - k,
                               f"factor column {k}")
-        # Allocated only once column 0 has shown its n values, so a size
-        # no column line backs fails before the n x n allocation.
+        # Allocated once column 0 has shown its n values and the text can
+        # hold the n(n+1) column floats, each a character and a separator.
         if k == 0:
+            if len(text) < 2 * n * (n + 1):
+                raise ValueError(f"factor file: {n} columns need at least "
+                                 f"{2 * n * (n + 1)} characters")
             lower = np.zeros((n, n), dtype=complex)
         lower[k:, k] = column
-    diag = _floats(lines[1 + n], n, "factor diagonal")
+    diag = _floats(lines[n], n, "factor diagonal")
     return InverseFactor(lower, np.asarray(diag, dtype=float))
 
 

@@ -131,14 +131,15 @@ class InverseFactor:
         heads = np.flatnonzero(np.abs(np.diagonal(lower) - 1.0) > 1e-12)
         if heads.size:
             raise ValueError(f"column {heads[0]} must have unit head")
-        # Row by row and in row blocks, so no check allocates an n x n
-        # temporary next to the factor.
-        for k in range(n):
-            if lower[k, k + 1:].any():
-                raise ValueError(f"factor row {k} must be zero above the "
-                                 f"diagonal")
+        # In row blocks, so no check allocates an n x n temporary next to
+        # the factor.
         for i in range(0, n, 64):
-            if not np.isfinite(lower[i:i + 64]).all():
+            rows = lower[i:i + 64]
+            above = np.flatnonzero(np.triu(rows, i + 1).any(axis=1))
+            if above.size:
+                raise ValueError(f"factor row {i + above[0]} must be zero "
+                                 f"above the diagonal")
+            if not np.isfinite(rows).all():
                 raise ValueError("factor entries must be finite")
         lower.flags.writeable = False
         diag.flags.writeable = False

@@ -14,8 +14,8 @@ This module is a comparison baseline and shares no solver code with the
 reflection-coefficient modules; like them, it reads the matrix only
 through the generator lookup in ``core``, for its blocks and for the
 dense normal system.  R_0 and every updated prediction-error block pass
-one eigenvalue test (``_require_pd``) before anything is solved against
-them, so each small Hermitian system handed to LAPACK
+one finiteness and eigenvalue test (``_require_pd``) before anything is
+solved against them, so each small Hermitian system handed to LAPACK
 (``numpy.linalg.solve``) has a condition number below 1/``PIVOT_TOL``;
 the operation counter charges the closed-form cost of an LU solve.
 """
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NotPositiveDefinite, OpCounter, SingularP, TbtGenerator, \
-    _lookup, assemble_dense
+from .core import NotPositiveDefinite, NumericalBreakdown, OpCounter, \
+    SingularP, TbtGenerator, _lookup, assemble_dense
 
 # A smallest eigenvalue at or below this fraction of the block's norm
 # counts as singular.
@@ -72,11 +72,16 @@ def _solve_right(b: np.ndarray, a: np.ndarray,
 def _require_pd(p: np.ndarray, order: int) -> None:
     """Raise unless the prediction-error block of ``order`` is PD.
 
-    The block is Hermitian in exact arithmetic, so its Hermitian part is
+    A block with a non-finite entry raises NumericalBreakdown: its
+    eigenvalues would compare false against either bound below.  The
+    block is Hermitian in exact arithmetic, so its Hermitian part is
     tested: a smallest eigenvalue at roundoff scale (``PIVOT_TOL``
     relative to the block's norm) means a singular block, anything below
     that an indefinite input.
     """
+    if not np.isfinite(p).all():
+        raise NumericalBreakdown(
+            f"prediction-error block of order {order} is not finite")
     lam = np.linalg.eigvalsh(0.5 * (p + p.conj().T))[0]
     tol = PIVOT_TOL * np.linalg.norm(p)
     if lam < -tol:
@@ -107,7 +112,9 @@ def wwr_recurse(g: TbtGenerator,
     Requires at least two block orders.  R_0 and every updated
     prediction-error block are checked (O(n1^3) each): an indefinite one
     raises NotPositiveDefinite, a singular one SingularP; either means
-    the input is not positive definite.
+    the input is not positive definite.  A coefficient or block that
+    turns non-finite in floating point (a solve against a subnormal
+    block, say) raises NumericalBreakdown.
     """
     if g.n2 < 2:
         raise ValueError("the block recursion needs n2 >= 2")
@@ -122,6 +129,9 @@ def wwr_recurse(g: TbtGenerator,
         a_new = -_solve_right(delta, p, counter)
         a = np.concatenate((a + _matmul(a_new, flip_conj(a[::-1]), counter),
                             a_new[None]))
+        if not np.isfinite(a).all():
+            raise NumericalBreakdown(
+                f"coefficients of order {order} are not finite")
         # The backward reflection block is the conjugate-flip of a_new.
         p = p + _matmul(flip_conj(a_new), delta, counter)
         _require_pd(p, order)

@@ -112,6 +112,17 @@ def test_wwr_not_pd(tmp_path, capsys, text):
     assert err.count("\n") == 1
 
 
+def test_wwr_breakdown_exits_4(tmp_path, capsys):
+    # A subnormal R_0: the first solve returns NaN coefficients.
+    gen = tmp_path / "g.txt"
+    gen.write_text("1 3\n1e-310 0\n0 0\n0 0\n")
+    assert main(["wwr", "--input", str(gen),
+                 "--output", str(tmp_path / "w.txt")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("NumericalBreakdown: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("error", [NumericalBreakdown, InternalIndexError,
                                    FactorizationMismatch])
 def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, error):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -133,6 +135,8 @@ def test_factor_errors():
         parse_factor("2\n0 1 1 0 0 0\n")  # missing second column + diag
     with pytest.raises(ValueError):
         parse_factor("1\n0\n1.0\n")  # column line too short
+    with pytest.raises(ValueError):
+        parse_factor("-1\n")  # negative size
     # Column lines whose support is not [k, n-1], with a matching count.
     for columns in ("0 0 1 0\n1 1 1 0\n", "0 1 1 0 0 0\n0 0 1 0\n",
                     "1 1 1 0\n1 1 1 0\n"):
@@ -151,6 +155,23 @@ def test_factor_errors():
     columns = "".join(f"{k} {n - 1} 1 0\n" for k in range(n))
     with pytest.raises(ValueError, match="factor column 0"):
         parse_factor(f"{n}\n{columns}1\n")
+
+
+def test_factor_size_the_text_cannot_hold():
+    # Column 0 is full, the later column lines hold one value each: the
+    # text is far too short for n = 3000, and must fail before the
+    # 144 MB n x n allocation.
+    n = 3000
+    text = (f"{n}\n0 {n - 1} " + "1 0 " * n + "\n"
+            + "".join(f"{k} {n - 1} 1 0\n" for k in range(1, n)) + "1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="characters"):
+            parse_factor(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 # Signed zeros and subnormals are drawn often, not left to chance.

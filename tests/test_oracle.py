@@ -300,6 +300,20 @@ def test_inverse_factor_validation():
             InverseFactor(lower, d)
 
 
+@pytest.mark.parametrize("row", [0, 63, 64, 100])
+def test_inverse_factor_names_the_defective_row(row):
+    # The checks run in 64-row blocks; the message names the global row.
+    n = 130
+    lower, diag = np.eye(n, dtype=complex), np.ones(n)
+    lower[row, n - 1] = 1e-300
+    with pytest.raises(ValueError, match=f"factor row {row} must be zero"):
+        InverseFactor(lower, diag)
+    lower[row, n - 1] = 0.0
+    lower[n - 1, row] = np.nan
+    with pytest.raises(ValueError, match="entries must be finite"):
+        InverseFactor(lower, diag)
+
+
 def test_inverse_dense_identity_and_2x2():
     f = build_factorization(grc_full(np.eye(3, dtype=complex)))
     assert np.array_equal(inverse_dense(f), np.eye(3))

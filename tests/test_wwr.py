@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tbtinv import (
     NotPositiveDefinite,
+    NumericalBreakdown,
     OpCounter,
     SingularP,
     TbtGenerator,
@@ -142,6 +143,14 @@ def test_singular_updated_prediction_error():
     # The all-ones 3 x 3 matrix is singular: the first update zeroes P.
     g = TbtGenerator(1, 3, np.ones((3, 1)))
     with pytest.raises(SingularP, match="order 1"):
+        wwr_recurse(g)
+
+
+def test_subnormal_block_breaks_down():
+    # Solving against the subnormal R_0 gives NaN coefficients, whose
+    # eigenvalues would pass both PD comparisons unnoticed.
+    g = TbtGenerator(1, 3, np.array([[1e-310], [0.0], [0.0]]))
+    with pytest.raises(NumericalBreakdown, match="order 1"):
         wwr_recurse(g)
 
 
