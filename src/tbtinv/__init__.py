@@ -37,7 +37,7 @@ from .costmodel import (
 )
 from .fast import CanonicalTables, fetch, fetch_strip, tbt_factorization, \
     tbt_grc
-from .instances import SplitMix64, gaussian_kernel, generate_pd_tbt
+from .instances import gaussian_kernel, generate_pd_tbt, splitmix64
 from .oracle import (
     CoeffTables,
     GrcEntry,
@@ -69,7 +69,6 @@ __all__ = [
     "NumericalBreakdown",
     "OpCounter",
     "SingularP",
-    "SplitMix64",
     "TbtGenerator",
     "WwrState",
     "apply_inverse",
@@ -96,6 +95,7 @@ __all__ = [
     "reverse_support",
     "sec_op",
     "shift",
+    "splitmix64",
     "tbt_entry",
     "tbt_factorization",
     "tbt_grc",

@@ -133,9 +133,12 @@ def parse_factor(text: str) -> InverseFactor:
     (n,), lines = _sized(text, "factor", "n", lambda n: n + 1)
     for k in range(n):
         parts = lines[k].split()
-        if len(parts) < 2:
-            raise ValueError(f"factor column {k}: missing support bounds")
-        if (int(parts[0]), int(parts[1])) != (k, n - 1):
+        try:
+            bounds = (int(parts[0]), int(parts[1]))
+        except (IndexError, ValueError):
+            raise ValueError(f"factor column {k}: support bounds must be "
+                             f"two integers") from None
+        if bounds != (k, n - 1):
             raise ValueError(f"factor column {k} must be supported on "
                              f"[{k}, {n - 1}]")
         column = _complex_row(" ".join(parts[2:]), n - k,

@@ -3,10 +3,11 @@
 Random instances are built as biased 2D sample autocorrelations of a
 complex random field, which is positive semidefinite by construction; a
 small relative ridge on the zero lag makes it strictly positive definite.
-The random source is a fixed 64-bit splitmix-style generator spelled out
-below, so a given seed reproduces the exact same instance everywhere.
+The random source is the splitmix64 stream spelled out below, drawn as
+one uint64 array (numpy's uint64 arithmetic wraps mod 2^64), so a given
+seed reproduces the exact same instance everywhere.
 
-splitmix64 update (all arithmetic mod 2^64):
+splitmix64 update (all arithmetic mod 2^64), once per output:
 
     state += 0x9E3779B97F4A7C15
     z = state
@@ -14,9 +15,11 @@ splitmix64 update (all arithmetic mod 2^64):
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     output = z ^ (z >> 31)
 
-Each output is mapped to a double in [0, 1) from its top 53 bits, then to
-[-1, 1) as 2u - 1.  The field x(u, v) on the (n1+L) x (n2+L) grid,
-L = max(n1, n2), draws real then imaginary part, iterating v fastest.
+Output i, counted from 0, thus mixes the state seed + (i + 1) * gamma,
+gamma = 0x9E3779B97F4A7C15.  Each output is mapped to a double in [0, 1)
+from its top 53 bits, then to [-1, 1) as 2u - 1.  The field x(u, v) on
+the (n1+L) x (n2+L) grid, L = max(n1, n2), takes real then imaginary part
+from consecutive outputs, v fastest.
 
 These instances are always well conditioned; :func:`gaussian_kernel` is
 the badly conditioned family.
@@ -27,31 +30,19 @@ import numpy as np
 from .core import TbtGenerator
 
 _MASK = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-class SplitMix64:
-    """Minimal deterministic PRNG with a single 64-bit word of state."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
-
-    def next_unit(self) -> float:
-        """Double in [0, 1) built from the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def next_symmetric(self) -> float:
-        """Double in [-1, 1)."""
-        return 2.0 * self.next_unit() - 1.0
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of the stream seeded with ``seed`` (any
+    integer, taken mod 2^64), as a uint64 array."""
+    i = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.uint64(seed & _MASK) + i * _GAMMA
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
 
 
 def _lag_sum(x: np.ndarray, d: int, s: int) -> complex:
@@ -74,23 +65,17 @@ def generate_pd_tbt(n1: int, n2: int, seed: int,
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("sizes must be >= 1")
-    if ridge <= 0.0:
-        raise ValueError("ridge must be positive")
+    if not (ridge > 0.0 and np.isfinite(ridge)):
+        raise ValueError("ridge must be positive and finite")
     pad = max(n1, n2)
     nu, nv = n1 + pad, n2 + pad
-    rng = SplitMix64(seed)
-    x = np.empty((nu, nv), dtype=complex)
-    for u in range(nu):
-        for v in range(nv):
-            re = rng.next_symmetric()
-            im = rng.next_symmetric()
-            x[u, v] = complex(re, im)
+    unit = (splitmix64(seed, 2 * nu * nv) >> 11) * 2.0 ** -53
+    x = (2.0 * unit - 1.0).view(complex).reshape(nu, nv)
     total = nu * nv
     c = np.zeros((n2, 2 * n1 - 1), dtype=complex)
     mid = n1 - 1
     for d in range(n2):
-        s_start = 0 if d == 0 else -(n1 - 1)
-        for s in range(s_start, n1):
+        for s in range(1 if d == 0 else 1 - n1, n1):
             c[d, mid + s] = _lag_sum(x, d, s) / total
     # Hermitian row 0 and an exactly real zero lag, by construction.
     c[0, :mid] = np.conj(c[0, mid + 1:])[::-1]

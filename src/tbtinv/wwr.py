@@ -27,8 +27,8 @@ import numpy as np
 from .core import NotPositiveDefinite, NumericalBreakdown, OpCounter, \
     SingularP, TbtGenerator, _lookup, assemble_dense
 
-# A smallest eigenvalue at or below this fraction of the block's norm
-# counts as singular.
+# A smallest eigenvalue at or below this fraction of the block's largest
+# eigenvalue magnitude counts as singular.
 PIVOT_TOL = 1e3 * np.finfo(float).eps
 
 
@@ -74,16 +74,19 @@ def _require_pd(p: np.ndarray, order: int) -> None:
 
     A block with a non-finite entry raises NumericalBreakdown: its
     eigenvalues would compare false against either bound below.  The
-    block is Hermitian in exact arithmetic, so its Hermitian part is
-    tested: a smallest eigenvalue at roundoff scale (``PIVOT_TOL``
-    relative to the block's norm) means a singular block, anything below
-    that an indefinite input.
+    block is Hermitian in exact arithmetic, so its Hermitian part, summed
+    from halves, is tested: a smallest eigenvalue at roundoff scale
+    (``PIVOT_TOL`` relative to the largest eigenvalue magnitude) means a
+    singular block, anything below that an indefinite input.  Neither the
+    halves nor that scale overflow on finite entries, as p + p^H and a
+    norm of entries above about 1e154 would.
     """
     if not np.isfinite(p).all():
         raise NumericalBreakdown(
             f"prediction-error block of order {order} is not finite")
-    lam = np.linalg.eigvalsh(0.5 * (p + p.conj().T))[0]
-    tol = PIVOT_TOL * np.linalg.norm(p)
+    eig = np.linalg.eigvalsh(0.5 * p + 0.5 * p.conj().T)
+    lam = eig[0]
+    tol = PIVOT_TOL * np.abs(eig).max()
     if lam < -tol:
         raise NotPositiveDefinite(
             f"prediction-error block of order {order} is indefinite "

@@ -123,6 +123,18 @@ def test_wwr_breakdown_exits_4(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["wwr", "verify"])
+def test_huge_pd_input_passes(tmp_path, capsys, command):
+    # R = 1e300 I is positive definite however large its entries.
+    gen = tmp_path / "g.txt"
+    gen.write_text("2 2\n0 0 1e300 0 0 0\n0 0 0 0 0 0\n")
+    args = [command, "--input", str(gen)]
+    if command == "wwr":
+        args += ["--output", str(tmp_path / "w.txt")]
+    assert main(args) == EXIT_PASS
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("error", [NumericalBreakdown, InternalIndexError,
                                    FactorizationMismatch])
 def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch, error):

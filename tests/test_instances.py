@@ -1,26 +1,65 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tbtinv import assemble_dense, gaussian_kernel, generate_pd_tbt, \
     grc_full, tbt_grc
 from tbtinv.fileio import format_generator
-from tbtinv.instances import SplitMix64
+from tbtinv.instances import _lag_sum, splitmix64
 
 
 def test_splitmix_known_stream():
     # First outputs for seed 0 of the standard update.
-    rng = SplitMix64(0)
-    assert rng.next_u64() == 0xE220A8397B1DCDAF
-    assert rng.next_u64() == 0x6E789E6AA1B965F4
-    assert rng.next_u64() == 0x06C45D188009454F
+    assert splitmix64(0, 3).tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 def test_splitmix_unit_range():
-    rng = SplitMix64(123)
-    vals = [rng.next_unit() for _ in range(1000)]
+    vals = (splitmix64(123, 1000) >> 11) * 2.0 ** -53
     assert all(0.0 <= v < 1.0 for v in vals)
-    sym = [SplitMix64(5).next_symmetric() for _ in range(1)]
-    assert -1.0 <= sym[0] < 1.0
+    assert all(-1.0 <= v < 1.0 for v in 2.0 * vals - 1.0)
+
+
+def per_draw_generator(n1, n2, seed, ridge=1e-6):
+    """``generate_pd_tbt``'s c one draw at a time: the scalar splitmix64
+    update, the per-point double loop and every lag sum, the zero lag
+    included before it is overwritten."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+
+    def symmetric():
+        nonlocal state
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return 2.0 * (((z ^ (z >> 31)) >> 11) * 2.0 ** -53) - 1.0
+
+    pad = max(n1, n2)
+    nu, nv = n1 + pad, n2 + pad
+    x = np.empty((nu, nv), dtype=complex)
+    for u in range(nu):
+        for v in range(nv):
+            re = symmetric()
+            x[u, v] = complex(re, symmetric())
+    c = np.zeros((n2, 2 * n1 - 1), dtype=complex)
+    mid = n1 - 1
+    for d in range(n2):
+        for s in range(0 if d == 0 else -mid, n1):
+            c[d, mid + s] = _lag_sum(x, d, s) / (nu * nv)
+    c[0, :mid] = np.conj(c[0, mid + 1:])[::-1]
+    c[0, mid] = float(np.sum(np.abs(x) ** 2)) / (nu * nv) * (1.0 + ridge)
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(1, 6), n2=st.integers(1, 6),
+       seed=st.one_of(st.sampled_from([0, -1, 2**64 - 1, 2**70 + 3]),
+                      st.integers(-2**80, 2**80)))
+@example(n1=1, n2=1, seed=0)
+@example(n1=6, n2=6, seed=2**70 + 3)
+def test_instances_match_the_per_draw_generator(n1, n2, seed):
+    assert (generate_pd_tbt(n1, n2, seed).c.tobytes()
+            == per_draw_generator(n1, n2, seed).tobytes())
 
 
 def test_generate_deterministic():
@@ -52,8 +91,9 @@ def test_large_ridge_dominates():
 def test_generate_validation():
     with pytest.raises(ValueError):
         generate_pd_tbt(0, 2, seed=1)
-    with pytest.raises(ValueError):
-        generate_pd_tbt(2, 2, seed=1, ridge=0.0)
+    for ridge in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ridge"):
+            generate_pd_tbt(2, 2, seed=1, ridge=ridge)
 
 
 def test_gaussian_kernel_values_and_conditioning():

@@ -142,6 +142,8 @@ def test_factor_errors():
                     "1 1 1 0\n1 1 1 0\n"):
         with pytest.raises(ValueError, match="must be supported on"):
             parse_factor("2\n" + columns + "1 1\n")
+    with pytest.raises(ValueError, match="factor column 0"):
+        parse_factor("1\nx 0 1 0\n1\n")  # non-integer support bound
     with pytest.raises(ValueError, match="unit head"):
         parse_factor("2\n0 1 2 0 0 0\n1 1 1 0\n1 1\n")
     with pytest.raises(ValueError, match="finite"):

@@ -154,6 +154,16 @@ def test_subnormal_block_breaks_down():
         wwr_recurse(g)
 
 
+@pytest.mark.parametrize("scale", [1e300, 1.5e308])
+def test_huge_blocks_are_not_singular(scale):
+    # R = scale I: a tolerance from the block's norm overflowed to inf, and
+    # at 1.5e308 so did the sum p + p^H of the Hermitian part.
+    c = np.zeros((2, 3), dtype=complex)
+    c[0, 1] = scale
+    states = wwr_recurse(TbtGenerator(2, 2, c))
+    assert np.array_equal(states[-1].prediction_error, scale * np.eye(2))
+
+
 def test_residual_requires_final_state():
     g = generate_pd_tbt(2, 4, seed=8)
     states = wwr_recurse(g)
