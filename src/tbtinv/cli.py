@@ -77,9 +77,9 @@ def run_verify(g: TbtGenerator,
 
     Reads the fast tables one distance at a time through
     :func:`~tbtinv.fast.fetch_strip` and compares each strip with the
-    dense reference's (a strip whose supports are off is infinitely
-    apart), measures the materialized-inverse residual, and (for n2 >= 2)
-    the baseline's normal-equation residual.  Without a tolerance, every
+    dense reference's (a stored cell off its support raises
+    InternalIndexError), measures the materialized-inverse residual, and
+    (for n2 >= 2) the baseline's normal-equation residual.  Without a tolerance, every
     check must hold to max(1e-8, cond(R) * n * eps), the accuracy a
     backward-stable solver can promise on R; where that bound reaches 1,
     the input is beyond working precision and
@@ -94,11 +94,8 @@ def run_verify(g: TbtGenerator,
         tolerance = max(1e-8, scaled)
     reference = grc_full(r)
     tables = tbt_grc(g)
-    dev = 0.0
-    for w in range(n):
-        got = fetch_strip(tables, w)
-        dev = max(dev, float("inf") if got is None
-                  else cells_deviation(got, reference.strips[w]))
+    dev = max(cells_deviation(fetch_strip(tables, w), reference.strips[w])
+              for w in range(n))
     inverse = inverse_dense(tbt_factorization(g, tables=tables))
     resid = float(np.linalg.norm(r @ inverse - np.eye(n)) / np.sqrt(n))
     wwr_rel = None

@@ -165,7 +165,7 @@ def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
     return GrcEntry(a, ap, v, vp, _band(n, k, l, p), _band(n, k, l, q))
 
 
-def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip | None:
+def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip:
     """Table values for every pair (k, k + w), k = 0 .. n-1-w, as a strip.
 
     The strip :func:`~tbtinv.oracle.stack_cells` makes of the :func:`fetch`
@@ -174,17 +174,15 @@ def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip | None:
     The first gather stacks the stored cells :func:`_source` serves the
     rows k0 < min(n1, n - w) from, :func:`_mirror_values` mirrors them all
     at once, and the second expands the direct and mirrored rows to the
-    n - w rows of the strip.  None when a stored cell read does not have
-    the support of its pair.
+    n - w rows of the strip.  A stored cell read off the support of its
+    pair raises InternalIndexError.
     """
     n1, n = t.g.n1, t.g.n
     if not 0 <= w <= n - 1:
         raise IndexError(f"distance {w} outside a {n} x {n} table")
     k0 = np.arange(min(n1, n - w))
     src, cells = zip(*(_source(t, k, w) for k in k0.tolist()))
-    read = stack_cells(cells, src)
-    if read is None:
-        return None
+    read = stack_cells(cells, src, w)
     both = [np.concatenate(pair) for pair in zip(read, _mirror_values(*read))]
     rows = np.where(k0 == src, k0, k0 + len(k0))[np.arange(n - w) % n1]
     return _frozen(GrcStrip(*(x[rows] for x in both)))

@@ -306,14 +306,14 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
     return CoeffTables(n, R, strips)
 
 
-def stack_cells(cells: list, heads) -> GrcStrip | None:
-    """The strip of the cells (k, k + w), k running over ``heads``, with w
-    the first cell's distance; None when a polynomial's support is not
-    that of its cell."""
-    w = cells[0].p.hi - cells[0].p.lo
+def stack_cells(cells: list, heads, w: int) -> GrcStrip:
+    """The strip of the cells (k, k + w), k running over ``heads``.  A
+    mirror or block shift keeps a pair's support, so a p or q support
+    other than [k, k + w] is an index bug: InternalIndexError."""
     for k, e in zip(heads, cells):
         if (e.p.lo, e.p.hi, e.q.lo, e.q.hi) != (k, k + w, k, k + w):
-            return None
+            raise InternalIndexError(f"cell ({k}, {k + w}) has supports "
+                                     f"{e.p.lo, e.p.hi} / {e.q.lo, e.q.hi}")
     x = np.array([(e.a, e.ap, e.v, e.vp) for e in cells], dtype=complex)
     return _frozen(GrcStrip(x[:, 0], x[:, 1], x[:, 2].real, x[:, 3].real,
                             np.array([e.p.coeff for e in cells]),
@@ -344,12 +344,11 @@ def cells_deviation(got: GrcStrip, want: GrcStrip) -> float:
 
 def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
     """Hybrid relative deviation between two table cells: the one-row case
-    of :func:`cells_deviation`.  Cells with different supports are
-    infinitely apart."""
-    x, y = (stack_cells([e], [want.p.lo]) for e in (got, want))
-    if x is None or y is None:
-        return float("inf")
-    return cells_deviation(x, y)
+    of :func:`cells_deviation`, each cell stacked by :func:`stack_cells`
+    at ``want``'s head and its own distance."""
+    k = want.p.lo
+    return cells_deviation(*(stack_cells([e], [k], e.p.hi - k)
+                             for e in (got, want)))
 
 
 def assemble_factor(cells) -> InverseFactor:
@@ -388,7 +387,8 @@ def build_factorization(t: CoeffTables) -> InverseFactor:
     f = assemble_factor((s.p[k], s.vp[k])
                         for k, s in enumerate(reversed(t.strips)))
     R = t.matrix
-    rounding = t.n * np.finfo(float).eps * np.linalg.norm(R)
+    scale = np.abs(R).max()  # unscaled, |R|_F overflows from about 1e154
+    rounding = t.n * np.finfo(float).eps * scale * np.linalg.norm(R / scale)
     for k in range(t.n):
         col = f.lower[k:, k]
         direct = np.vdot(col, R[k:, k:] @ col)

@@ -1,4 +1,4 @@
-import math
+import re
 
 import numpy as np
 import pytest
@@ -123,14 +123,17 @@ def test_wwr_breakdown_exits_4(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["wwr", "verify"])
+@pytest.mark.parametrize("command", ["wwr", "verify", "invert"])
 def test_huge_pd_input_passes(tmp_path, capsys, command):
-    # R = 1e300 I is positive definite however large its entries.
+    # R = 1e300 I is positive definite however large its entries, and the
+    # reference factorization's rounding bound must not overflow on it.
     gen = tmp_path / "g.txt"
     gen.write_text("2 2\n0 0 1e300 0 0 0\n0 0 0 0 0 0\n")
     args = [command, "--input", str(gen)]
-    if command == "wwr":
-        args += ["--output", str(tmp_path / "w.txt")]
+    if command != "verify":
+        args += ["--output", str(tmp_path / "out.txt")]
+    if command == "invert":
+        args += ["--method", "oracle"]
     assert main(args) == EXIT_PASS
     assert capsys.readouterr().err == ""
 
@@ -360,12 +363,12 @@ def test_table_deviation_is_the_cellwise_maximum_gaussian(ell):
     assert dev > 0.0 and dev == _cellwise_table_deviation(g)
 
 
-def test_table_deviation_widened_support_is_inf(monkeypatch):
+def test_widened_stored_support_is_internal_error(monkeypatch):
     # At n1 = 3, (2, 3) is its own mirror, so its row is only read
     # directly; (1, 3) is read directly and also serves (2, 4) through the
     # mirror.  Neither is read by the factorization's full-width cells, so
-    # run_verify gets to report.  Widening a stored support must give an
-    # infinite deviation either way.
+    # only the strip read can see it.  Widening a stored support is an
+    # index error either way.
     g = generate_pd_tbt(3, 2, seed=8)
     real = cli.tbt_grc
     for pair, served in (((2, 3), (2, 3)), ((1, 3), (2, 4))):
@@ -379,4 +382,41 @@ def test_table_deviation_widened_support_is_inf(monkeypatch):
             return t
 
         monkeypatch.setattr(cli, "tbt_grc", widened)
-        assert run_verify(g, 1.0).table_deviation == math.inf
+        with pytest.raises(InternalIndexError, match=re.escape(f"cell {pair}")):
+            run_verify(g, 1.0)
+
+
+@pytest.mark.parametrize("pair", [(1, 3), (0, 2)])
+def test_verify_narrowed_stored_cell_exits_4(tmp_path, capsys, monkeypatch,
+                                             pair):
+    # One coefficient off a stored p: (1, 3) is read only by the strip
+    # view, (0, 2) also by the factor as full-width cell 3.  Both are an
+    # index error, with one line on stderr.
+    gen = tmp_path / "g.txt"
+    write_generator(generate_pd_tbt(3, 2, seed=8), gen)
+    real = cli.tbt_grc
+
+    def narrowed(g):
+        t = real(g)
+        e = t.entries[pair]
+        p = BandVector(e.p.n, e.p.lo, e.p.hi - 1, e.p.coeff[:-1])
+        t.entries[pair] = e._replace(p=p)
+        return t
+
+    monkeypatch.setattr(cli, "tbt_grc", narrowed)
+    assert main(["verify", "--input", str(gen)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("InternalIndexError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["fast", "oracle"])
+def test_invert_residual_underflow_exits_4(tmp_path, capsys, method):
+    # A subnormal zero lag: the first step's residual scalar is below the
+    # recursion's underflow guard in both solvers.
+    gen = tmp_path / "g.txt"
+    gen.write_text("1 3\n1e-310 0\n0 0\n0 0\n")
+    assert main(["invert", "--input", str(gen), "--method", method,
+                 "--output", str(tmp_path / "x.txt")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == ("NumericalBreakdown: residual scalar underflow at "
+                   "pair (0, 1)\n")

@@ -97,7 +97,8 @@ def test_fetch_exhaustive_oracle_sweep():
     # error even where the extra coefficient is zero.
     want = oracle.get(0, 2)
     wide = BandVector(6, want.q.lo, want.q.hi + 1, np.append(want.q.coeff, 0))
-    assert entry_deviation(want._replace(q=wide), want) == math.inf
+    with pytest.raises(InternalIndexError, match=r"cell \(0, 2\)"):
+        entry_deviation(want._replace(q=wide), want)
 
 
 def test_fetch_stored_passthrough():
@@ -178,7 +179,7 @@ def test_reads_do_not_recompute_the_storage_rule(monkeypatch):
 
 def _fetched_strip(t, w):
     heads = range(t.g.n - w)
-    return stack_cells([fetch(t, k, k + w) for k in heads], heads)
+    return stack_cells([fetch(t, k, k + w) for k in heads], heads, w)
 
 
 def _assert_strips_are_fetched_strips(t):
@@ -304,6 +305,15 @@ def test_non_finite_column_segment_is_breakdown(monkeypatch):
     poison_column(monkeypatch, 3)
     with pytest.raises(NumericalBreakdown), np.errstate(invalid="ignore"):
         tbt_factorization(generate_pd_tbt(2, 3, seed=4))
+
+
+def test_residual_underflow_is_breakdown():
+    # A subnormal zero lag leaves the first step's residual scalars below
+    # the underflow guard, before any inner product is taken.
+    g = TbtGenerator(1, 3, [[1e-310], [0], [0]])
+    with pytest.raises(NumericalBreakdown, match="underflow") as info:
+        tbt_grc(g)
+    assert info.value.pair == (0, 1)
 
 
 def test_recursion_skips_public_band_checks(monkeypatch):

@@ -90,6 +90,8 @@ def test_generator_comments_and_errors():
         parse_generator("2 2\n1 0 2 0\n")  # wrong row width and count
     with pytest.raises(ValueError):
         parse_generator("a b\n")
+    with pytest.raises(ValueError, match="generator row 0: could not convert"):
+        parse_generator("1 1\n1 x\n")
     with pytest.raises(ValueError, match="expected"):
         parse_generator("1000000000000000 1\n1 0\n")  # sizes the rows lack
 

@@ -359,6 +359,31 @@ def test_grc_full_rejects_non_hermitian():
         grc_full(r)
 
 
+def test_grc_full_input_checks():
+    with pytest.raises(ValueError, match="must be square"):
+        grc_full(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="entries must be finite"):
+        grc_full(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="at least 1 x 1"):
+        grc_full(np.zeros((0, 0)))
+
+
+def test_table_reads_outside_and_across_distances():
+    ref = grc_full(random_hermitian_pd(4, seed=5))
+    with pytest.raises(IndexError, match="outside a 4 x 4 table"):
+        ref.get(1, 0)
+    # Two well-formed cells of different distances: their strips differ in
+    # shape, so they are infinitely apart.
+    assert entry_deviation(ref.get(0, 2), ref.get(0, 3)) == np.inf
+
+
+def test_build_factorization_bound_does_not_overflow():
+    # R = 1e300 I: |R|_F taken unscaled overflows to inf, and numpy warns.
+    g = TbtGenerator(2, 2, [[0, 1e300, 0], [0, 0, 0]])
+    f = build_factorization(grc_full(assemble_dense(g)))
+    assert np.array_equal(f.diag, np.full(4, 1e300))
+
+
 @pytest.mark.parametrize("ell", [1.0, 1.5, 2.0, 3.0])
 def test_build_factorization_accepts_ill_conditioned(ell):
     # Condition numbers from 1.5e3 (ell = 1) to 4e14 (ell = 3).
@@ -447,6 +472,8 @@ FAILING = {
     "bad-diagonal": np.diag([1.0, -1.0, 1.0]).astype(complex),
     # a = 1e300 / 1e-10 overflows: a non-finite growth factor.
     "overflow": np.array([[1e-10, 1e300], [1e300, 1e-10]], dtype=complex),
+    # Residual scalars below the underflow guard from the first step on.
+    "underflow": 1e-310 * np.eye(3, dtype=complex),
     **{f"indefinite-{n}": _one_negative_eigenvalue(n, n) for n in (3, 6, 9, 12)},
     **{f"singular-{n}": _rank_deficient(n, n) for n in (3, 6, 9, 12)},
 }
