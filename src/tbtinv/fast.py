@@ -42,10 +42,10 @@ from .oracle import GrcEntry, GrcStrip, InverseFactor, _frozen, \
 class CanonicalTables:
     """Stored half of the reflection tables for one TBT generator.
 
-    Keys are the pairs (k, l) that :func:`storage_condition` admits: the
-    diagonal pairs (k, k) for k < n1 plus every off-diagonal pair (k, l)
-    with k < n1 and k <= k' under the antidiagonal mirror.  :func:`fetch`
-    serves every other pair from one of them.
+    Keys are the diagonal pairs (k, k) for k < n1 plus every pair
+    (k, k + w), k < n1, that :func:`_source_map` maps to itself: of a pair
+    and its antidiagonal mirror, the one with the smaller row.
+    :func:`fetch` serves every other pair from one of them.
     """
 
     g: TbtGenerator
@@ -53,11 +53,6 @@ class CanonicalTables:
 
     def is_stored(self, k: int, l: int) -> bool:
         return (k, l) in self.entries
-
-
-def storage_condition(k: int, l: int, n1: int) -> bool:
-    """Whether the pair (k, l) belongs to the stored canonical half."""
-    return k < n1 and _source_row(k, l - k, n1) == k
 
 
 @functools.cache
@@ -75,18 +70,12 @@ def _source_map(n1: int) -> tuple:
     return tuple(map(tuple, np.minimum(k0, mk).tolist()))
 
 
-def _source_row(k0: int, w: int, n1: int) -> int:
-    """The row of the stored pair that serves (k0, k0 + w), k0 < n1: the
-    map's entry, or k0 itself for a diagonal pair."""
-    return _source_map(n1)[w % n1][k0] if w else k0
-
-
 def _source(t: CanonicalTables, k0: int, w: int) -> tuple:
     """``(s, e)``: the row s of the stored pair that serves (k0, k0 + w),
-    k0 < n1, and its cell e = (s, s + w).  The pair itself when s == k0,
-    else its mirror.
+    k0 < n1, and its cell e = (s, s + w): the map's row, or k0 itself for
+    a diagonal pair.  The pair itself when s == k0, else its mirror.
     """
-    s = _source_row(k0, w, t.g.n1)
+    s = _source_map(t.g.n1)[w % t.g.n1][k0] if w else k0
     e = t.entries.get((s, s + w))
     if e is None:
         raise InternalIndexError(f"pair ({k0}, {k0 + w}) has no stored "
@@ -107,27 +96,26 @@ def _mirror_values(a, ap, v, vp, p, q):
             np.conj(q[..., ::-1]), np.conj(p[..., ::-1]))
 
 
-def _diagonal_entry(g: TbtGenerator, k: int) -> GrcEntry:
-    e_k = unit_band(g.n, k)
-    c00 = g.c[0, g.n1 - 1].real
-    return GrcEntry(0j, 0j, c00, c00, e_k, e_k)
-
-
 def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None) -> CanonicalTables:
     """Run the half-table recursion over the generator.
 
-    The canonical pairs are filled by increasing distance w = l - k, the
-    order of the dense reference recursion: at each w, the rows k < n1
-    that :func:`_source_map` maps to themselves.  Each step reads its two
+    The n1 stored diagonal pairs (k, k) hold the unit vector e_k as both
+    polynomials and c(0, 0) as both residuals.  The other canonical pairs
+    are filled by increasing distance w = l - k, the order of the dense
+    reference recursion: at each w, the rows k < n1 that
+    :func:`_source_map` maps to themselves.  Each step reads its two
     predecessors, (k, l-1) and (k+1, l), through :func:`fetch`.  A mirror
     or a block shift keeps the distance, so every predecessor is ready
-    when it is read.  Each step checks every value it produces, so
-    numpy's warnings about non-finite values are silenced for the whole
-    loop.
+    when it is read.  Each step checks every value it produces, so numpy's
+    warnings about non-finite values are silenced for the whole loop.
     """
     n1, n = g.n1, g.n
     m = column_accessor(g)
-    t = CanonicalTables(g, {(k, k): _diagonal_entry(g, k) for k in range(n1)})
+    c00 = g.c[0, n1 - 1].real
+    t = CanonicalTables(g, {})
+    for k in range(n1):
+        e_k = unit_band(n, k)
+        t.entries[(k, k)] = GrcEntry(0j, 0j, c00, c00, e_k, e_k)
     src = _source_map(n1)
     with np.errstate(invalid="ignore", over="ignore"):
         for w in range(1, n):

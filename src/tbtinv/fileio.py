@@ -15,7 +15,9 @@ factor file      line 1: ``n``; then n column lines ``k n-1 re im ...``
 
 The first line's integers fix how many data lines must follow, and a
 header whose sizes the text cannot hold is rejected before anything is
-allocated.
+allocated.  Each format's text is made by one line generator: ``format_*``
+joins its lines, and ``write_*`` writes them one at a time, so a file's
+whole text is never held in memory.
 """
 
 import numpy as np
@@ -68,10 +70,14 @@ def _complex_row(line: str, count: int, what: str) -> np.ndarray:
     return np.array(_floats(line, 2 * count, what)).view(complex)
 
 
+def _generator_lines(g: TbtGenerator):
+    yield f"{g.n1} {g.n2}\n"
+    for row in g.c:
+        yield _row(row) + "\n"
+
+
 def format_generator(g: TbtGenerator) -> str:
-    lines = [f"{g.n1} {g.n2}"]
-    lines += [_row(row) for row in g.c]
-    return "\n".join(lines) + "\n"
+    return "".join(_generator_lines(g))
 
 
 def parse_generator(text: str) -> TbtGenerator:
@@ -83,7 +89,7 @@ def parse_generator(text: str) -> TbtGenerator:
 
 def write_generator(g: TbtGenerator, path) -> None:
     with open(path, "w") as fh:
-        fh.write(format_generator(g))
+        fh.writelines(_generator_lines(g))
 
 
 def read_generator(path) -> TbtGenerator:
@@ -93,13 +99,13 @@ def read_generator(path) -> TbtGenerator:
 
 def _dense_lines(a: np.ndarray):
     a = np.asarray(a, dtype=complex)
-    yield str(a.shape[0])
+    yield f"{a.shape[0]}\n"
     for row in a:
-        yield _row(row)
+        yield _row(row) + "\n"
 
 
 def format_dense(a: np.ndarray) -> str:
-    return "\n".join(_dense_lines(a)) + "\n"
+    return "".join(_dense_lines(a))
 
 
 def parse_dense(text: str) -> np.ndarray:
@@ -110,10 +116,8 @@ def parse_dense(text: str) -> np.ndarray:
 
 
 def write_dense(a: np.ndarray, path) -> None:
-    """Write ``format_dense(a)`` one row at a time, so the whole text is
-    never held in memory."""
     with open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in _dense_lines(a))
+        fh.writelines(_dense_lines(a))
 
 
 def read_dense(path) -> np.ndarray:
@@ -121,12 +125,16 @@ def read_dense(path) -> np.ndarray:
         return parse_dense(fh.read())
 
 
-def format_factor(f: InverseFactor) -> str:
+def _factor_lines(f: InverseFactor):
     n = f.n
-    lines = [str(n)]
-    lines += [f"{k} {n - 1} {_row(f.lower[k:, k])}" for k in range(n)]
-    lines.append(_row(f.diag))
-    return "\n".join(lines) + "\n"
+    yield f"{n}\n"
+    for k in range(n):
+        yield f"{k} {n - 1} {_row(f.lower[k:, k])}\n"
+    yield _row(f.diag) + "\n"
+
+
+def format_factor(f: InverseFactor) -> str:
+    return "".join(_factor_lines(f))
 
 
 def parse_factor(text: str) -> InverseFactor:
@@ -157,7 +165,7 @@ def parse_factor(text: str) -> InverseFactor:
 
 def write_factor(f: InverseFactor, path) -> None:
     with open(path, "w") as fh:
-        fh.write(format_factor(f))
+        fh.writelines(_factor_lines(f))
 
 
 def read_factor(path) -> InverseFactor:

@@ -162,12 +162,14 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     the forward one.  ``m`` is a column-slice accessor under the contract
     of :func:`~tbtinv.core.column_inner`.  Each new polynomial is checked
     finite once and frozen, so the band vectors built from it skip the
-    public constructor's checks.  A failed check raises
-    :func:`_step_error`'s error.
+    public constructor's checks.  Predecessors off the supports
+    [k, l-1] and [k+1, l] are an index bug: InternalIndexError.  A failed
+    numerical check raises :func:`_step_error`'s error.
     """
     if p_hat.lo != k or p_hat.hi != l - 1 or q_hat.lo != k + 1 or q_hat.hi != l:
-        raise ValueError(f"step ({k}, {l}) fed polynomials with supports "
-                         f"[{p_hat.lo}, {p_hat.hi}] / [{q_hat.lo}, {q_hat.hi}]")
+        raise InternalIndexError(
+            f"step ({k}, {l}) fed polynomials with supports "
+            f"[{p_hat.lo}, {p_hat.hi}] / [{q_hat.lo}, {q_hat.hi}]")
     if not (v_hat > _TINY and vp_hat > _TINY):
         raise _step_error(k, l)
     num = column_inner(p_hat, m, l, counter)

@@ -172,6 +172,32 @@ def test_invert_non_finite_recursion_value_exits_4(tmp_path, capsys,
     assert err.startswith("NumericalBreakdown: ") and err.count("\n") == 1
 
 
+def test_invert_predecessor_off_its_support_exits_4(tmp_path, capsys,
+                                                     monkeypatch):
+    # A predecessor read off its support inside the recursion is an index
+    # bug (exit 4), not a usage error: the p of (0, 1) is narrowed to
+    # [0, 0], so the step (0, 2) is fed the wrong support.
+    fetch = tbtinv.fast.fetch
+
+    def narrowed(t, k, l):
+        e = fetch(t, k, l)
+        if (k, l) == (0, 1):
+            e = e._replace(p=BandVector(e.p.n, 0, 0, e.p.coeff[:1]))
+        return e
+
+    monkeypatch.setattr(tbtinv.fast, "fetch", narrowed)
+    gen = tmp_path / "g.txt"
+    main(["gen", "--n1", "3", "--n2", "2", "--seed", "8",
+          "--output", str(gen)])
+    capsys.readouterr()
+    status = main(["invert", "--input", str(gen),
+                   "--output", str(tmp_path / "x.txt")])
+    assert status == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("InternalIndexError: step (0, 2) fed polynomials")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("method", ["fast", "oracle"])
 def test_invert_overflow_in_recursion_one_stderr_line(tmp_path, capsys,
                                                       method):

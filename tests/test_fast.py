@@ -33,7 +33,6 @@ from tbtinv import (
     tbt_grc,
     unit_band,
 )
-from tbtinv.fast import storage_condition
 from tbtinv.oracle import cells_deviation, entry_deviation, stack_cells
 from conftest import identity_generator, poison_column
 
@@ -149,7 +148,7 @@ def test_fetch_missing_entry_is_internal_error():
     # pair served by its mirror (0, 2).
     g = identity_generator(2, 2)
     hollow = CanonicalTables(g, {})
-    assert not storage_condition(1, 3, 2)
+    assert (1, 3) not in tbt_grc(g).entries
     for k, l in ((0, 1), (0, 0), (3, 3), (1, 3)):
         with pytest.raises(InternalIndexError):
             fetch(hollow, k, l)
@@ -241,17 +240,12 @@ def test_strip_view_range_and_missing_entry():
 
 
 def test_canonical_coverage():
-    # Loop enumeration plus diagonals == storage predicate == actual keys.
-    # From n2 = 2 on every residue of the distance mod n1 occurs, so the
-    # larger block sizes need few block rows.
+    # Loop enumeration plus diagonals == actual keys.  From n2 = 2 on
+    # every residue of the distance mod n1 occurs, so the larger block
+    # sizes need few block rows.
     for n1 in range(1, 13):
         for n2 in range(1, 7 if n1 <= 6 else 4):
             want = loop_pairs(n1, n2) | {(k, k) for k in range(n1)}
-            predicate = {(k, l)
-                         for k in range(n1 * n2)
-                         for l in range(k, n1 * n2)
-                         if storage_condition(k, l, n1)}
-            assert want == predicate
             t = tbt_grc(identity_generator(n1, n2))
             assert set(t.entries.keys()) == want
 

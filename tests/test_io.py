@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tbtinv import InverseFactor, TbtGenerator, assemble_dense, \
-    generate_pd_tbt
+    generate_pd_tbt, tbt_factorization
 from tbtinv.fileio import (
     format_dense,
     format_factor,
@@ -234,8 +234,23 @@ def test_roundtrip_is_bitwise(name, data, tmp_path):
     x = data.draw(strategy)
     path = tmp_path / "x.txt"
     write(x, path)
+    assert path.read_bytes() == fmt(x).encode()
     for back in (parse(fmt(x)), read(path)):
         for got, want in zip(values(back), values(x)):
             assert got.shape == want.shape
             assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
                                   np.ascontiguousarray(want).view(np.uint64))
+
+
+def test_write_factor_streams(tmp_path):
+    # The file is written line by line: the writer's peak stays below the
+    # size of the text it writes (about 0.8 MB at n = 192).
+    f = tbt_factorization(generate_pd_tbt(4, 48, seed=1))
+    path = tmp_path / "f.txt"
+    tracemalloc.start()
+    try:
+        write_factor(f, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size

@@ -7,6 +7,7 @@ from tbtinv import (
     CoeffTables,
     FactorizationMismatch,
     GrcEntry,
+    InternalIndexError,
     InverseFactor,
     NotPositiveDefinite,
     NumericalBreakdown,
@@ -89,8 +90,9 @@ def test_grc_step_identity_passthrough():
 
 
 def test_grc_step_support_precondition():
+    # Predecessors off their supports are an index bug, not a usage error.
     r = np.eye(4, dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalIndexError):
         grc_step(unit_band(4, 0), unit_band(4, 3), 1.0, 1.0,
                  _dense_accessor(r), 0, 2)
 
