@@ -30,7 +30,7 @@ class NotPositiveDefinite(Exception):
 
 class NumericalBreakdown(Exception):
     """A residual scalar underflowed, or a recursion value turned non-finite
-    or lost its realness in floating point.
+    in floating point.
 
     ``pair`` identifies the (k, l) cell at which it happened.
     """

@@ -25,6 +25,8 @@ These instances are always well conditioned; :func:`gaussian_kernel` is
 the badly conditioned family.
 """
 
+import operator
+
 import numpy as np
 
 from .core import TbtGenerator
@@ -37,9 +39,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """The first ``count`` outputs of the stream seeded with ``seed`` (any
-    integer, taken mod 2^64), as a uint64 array."""
+    integer, numpy's too, taken mod 2^64), as a uint64 array."""
     i = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK) + i * _GAMMA
+    z = np.uint64(operator.index(seed) & _MASK) + i * _GAMMA
     z = (z ^ (z >> 30)) * _MIX1
     z = (z ^ (z >> 27)) * _MIX2
     return z ^ (z >> 31)
@@ -90,12 +92,16 @@ def gaussian_kernel(n1: int, n2: int, ell: float) -> TbtGenerator:
     The matrix is positive definite for every length scale ``ell`` > 0,
     but its condition number grows quickly with ``ell`` (at 8 x 8 about
     1.5e3 for ell = 1, 5.7e9 for ell = 2, 4e14 for ell = 3), which makes
-    it the family for accuracy tests on badly conditioned inputs.
+    it the family for accuracy tests on badly conditioned inputs.  An
+    ``ell`` at which 2 ell^2 overflows (above about 9.5e153) is rejected
+    with ValueError, as the kernel would be the singular all-ones matrix.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("sizes must be >= 1")
     if not ell > 0.0:
         raise ValueError("length scale must be positive")
+    if not np.isfinite(2.0 * float(ell) * float(ell)):
+        raise ValueError("length scale too large: 2 ell^2 overflows")
     d = np.arange(n2)[:, None]
     s = np.arange(-(n1 - 1), n1)[None, :]
     return TbtGenerator(n1, n2, np.exp(-(d ** 2 + s ** 2) / (2 * ell ** 2)))

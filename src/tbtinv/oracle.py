@@ -41,10 +41,6 @@ from .core import (
 # the leading section is (numerically) semidefinite.
 PD_TOL = 1e3 * np.finfo(float).eps
 
-# The growth factor may pick up a tiny imaginary part in floating point;
-# anything beyond this (relative) is a genuine breakdown.
-IMAG_TOL = 1e-10
-
 _TINY = 1e-300
 
 
@@ -177,10 +173,9 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     ap = np.conj(num) / vp_hat
     growth = 1.0 - a * ap
     # Every comparison is false for NaN, so non-finite values are caught
-    # first.
-    if not (cmath.isfinite(num) and cmath.isfinite(growth)
-            and abs(growth.imag) <= IMAG_TOL * max(1.0, abs(growth))
-            and growth.real > PD_TOL):
+    # first.  The growth factor 1 - |num|^2 / (v v') is real up to
+    # rounding, and non-finite whenever num is.
+    if not (cmath.isfinite(growth) and growth.real > PD_TOL):
         raise _step_error(k, l, num, growth)
     gr = growth.real
     w = l - k
@@ -205,22 +200,18 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
 def _step_error(k: int, l: int, num=None, growth=None) -> Exception:
     """The error of a failed step at (k, l), by the first check its values
     fail, in order: residual scalar underflow (``num`` is None, no inner
-    product taken), a non-finite inner product or growth factor, a growth
-    factor that lost its realness, a growth factor at most ``PD_TOL``.  A
-    step that passes all four failed on an overflowing polynomial update.
+    product taken), a non-finite growth factor, a growth factor at most
+    ``PD_TOL``.  A step that passes all three failed on an overflowing
+    polynomial update.
     """
     pair = (k, l)
     if num is None:
         return NumericalBreakdown(
             f"residual scalar underflow at pair {pair}", pair=pair)
-    if not (cmath.isfinite(num) and cmath.isfinite(growth)):
+    if not cmath.isfinite(growth):
         return NumericalBreakdown(
             f"non-finite inner product or growth factor at pair {pair}: "
             f"{num}, {growth}", pair=pair)
-    if abs(growth.imag) > IMAG_TOL * max(1.0, abs(growth)):
-        return NumericalBreakdown(
-            f"growth factor lost realness at pair {pair}: {growth}",
-            pair=pair)
     if growth.real <= PD_TOL:
         return NotPositiveDefinite(
             f"leading section through pair {pair} is not positive "
@@ -262,9 +253,7 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
     q[:, 1:] = q_hat
     q[:, :w] -= ap[:, None] * p_hat
     held = (v_hat > _TINY) & (vp_hat > _TINY)
-    ok = (held & np.isfinite(num) & np.isfinite(growth)
-          & (np.abs(growth.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(growth)))
-          & (gr > PD_TOL)
+    ok = (held & np.isfinite(growth) & (gr > PD_TOL)
           & np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1))
     if not ok.all():
         k = int(np.argmin(ok))

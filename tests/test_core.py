@@ -193,6 +193,10 @@ def test_private_band_checks_integer_invariants():
     assert _band(4, 1, 2, c) == BandVector(4, 1, 2, c)
 
 
+def test_band_vector_is_unequal_to_a_non_band():
+    assert (unit_band(3, 1) == 1) is False
+
+
 def test_shift_examples():
     e0 = unit_band(4, 0)
     assert shift(e0, 1) == BandVector(4, 1, 1, np.ones(1))

@@ -62,6 +62,18 @@ def test_instances_match_the_per_draw_generator(n1, n2, seed):
             == per_draw_generator(n1, n2, seed).tobytes())
 
 
+@pytest.mark.parametrize("seed,same", [(np.int64(7), 7), (np.int32(-1), -1),
+                                       (np.uint64(2**64 - 1), 2**64 - 1)])
+def test_numpy_integer_seeds(seed, same):
+    assert (generate_pd_tbt(2, 3, seed).c.tobytes()
+            == generate_pd_tbt(2, 3, same).c.tobytes())
+
+
+def test_float_seed_is_rejected():
+    with pytest.raises(TypeError):
+        generate_pd_tbt(2, 2, 1.5)
+
+
 def test_generate_deterministic():
     a = generate_pd_tbt(3, 2, seed=99)
     b = generate_pd_tbt(3, 2, seed=99)
@@ -107,7 +119,11 @@ def test_gaussian_kernel_values_and_conditioning():
 
 
 @pytest.mark.parametrize("args", [(0, 2, 1.0), (2, 0, 1.0), (2, 2, 0.0),
-                                  (2, 2, -1.0), (2, 2, float("nan"))])
+                                  (2, 2, -1.0), (2, 2, float("nan")),
+                                  (2, 2, float("inf")), (2, 2, 1.3e154),
+                                  (2, 2, np.float64(1e200))])
+@pytest.mark.filterwarnings("error")
 def test_gaussian_kernel_rejects_bad_arguments(args):
+    # Where 2 ell^2 overflows the kernel would be all ones, singular.
     with pytest.raises(ValueError):
         gaussian_kernel(*args)

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,7 @@ from tbtinv import (
     tbt_factorization,
     unit_band,
 )
-from tbtinv.oracle import entry_deviation
+from tbtinv.oracle import _TINY, entry_deviation
 from conftest import random_hermitian_pd
 
 
@@ -100,12 +102,37 @@ def test_grc_step_support_precondition():
 @pytest.mark.parametrize("column", [np.inf, np.nan, complex(0.0, -np.inf)])
 def test_grc_step_non_finite_inner_product_is_breakdown(column):
     # Every comparison with NaN is false, so a non-finite growth factor
-    # would slip past the realness and positivity checks.
+    # would slip past the positivity check.
     def m(rows, j):
         return np.full(rows.stop - rows.start, column, dtype=complex)
 
     with pytest.raises(NumericalBreakdown), np.errstate(invalid="ignore"):
         grc_step(unit_band(2, 0), unit_band(2, 1), 1.0, 1.0, m, 0, 1)
+
+
+_RESIDUALS = st.floats(_TINY, 1e300, exclude_min=True)
+
+
+@settings(max_examples=500, deadline=None)
+@given(num=st.complex_numbers(), v=_RESIDUALS, vp=_RESIDUALS,
+       theta=st.floats(0.0, 7.0),
+       rel=st.one_of(st.none(), st.floats(0.999, 1.001)))
+def test_growth_factor_is_real_up_to_rounding(num, v, vp, theta, rel):
+    # grc_step tests the growth factor 1 - |num|^2 / (v v') for finiteness
+    # and positivity only.  Its imaginary part is the difference of two
+    # roundings of one product, and a non-finite inner product leaves it
+    # non-finite.  With ``rel`` the inner product has modulus
+    # rel * sqrt(v v'), so the growth factor is near zero.
+    if rel is not None:
+        num = rel * np.sqrt(v) * np.sqrt(vp) * cmath.exp(1j * theta)
+    num = np.complex128(num)
+    with np.errstate(all="ignore"):
+        growth = 1.0 - (num / v) * (np.conj(num) / vp)
+    if not np.isfinite(num):
+        assert not np.isfinite(growth)
+    elif np.isfinite(growth):
+        bound = 4 * np.finfo(float).eps * max(1.0, abs(growth))
+        assert abs(growth.imag) <= bound
 
 
 def test_grc_step_overflowing_polynomial_is_breakdown():

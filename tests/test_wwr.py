@@ -13,7 +13,8 @@ from tbtinv import (
     wwr_recurse,
     wwr_residual,
 )
-from tbtinv.wwr import _matmul, _solve_right, block, flip_conj, normal_system
+from tbtinv.wwr import _matmul, _require_pd, _solve_right, block, flip_conj, \
+    normal_system
 from conftest import identity_generator, random_generator
 
 
@@ -152,6 +153,12 @@ def test_subnormal_block_breaks_down():
     g = TbtGenerator(1, 3, np.array([[1e-310], [0.0], [0.0]]))
     with pytest.raises(NumericalBreakdown, match="order 1"):
         wwr_recurse(g)
+
+
+def test_non_finite_block_breaks_down():
+    p = np.array([[1.0, 0.0], [0.0, np.inf]])
+    with pytest.raises(NumericalBreakdown, match="order 3"):
+        _require_pd(p, 3)
 
 
 @pytest.mark.parametrize("scale", [1e300, 1.5e308])
