@@ -17,6 +17,7 @@ status but 0 and 1 comes with a one-line message on standard error.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -129,7 +130,10 @@ def _positive(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tbtinv`` argument parser, built once per process: parsing
+    leaves it unchanged, so every :func:`main` call shares it."""
     parser = _Parser(prog="tbtinv",
                      description="Structured inversion of Hermitian PD "
                                  "Toeplitz-block-Toeplitz matrices")

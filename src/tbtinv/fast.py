@@ -11,9 +11,9 @@ n1 x n1 map, :func:`_source_map`, is the one place the storage rule is
 written, and :func:`_mirror_values` the one place the mirror formula is.
 :func:`fetch` serves every pair from the stored half, and the recursion
 itself reads its predecessors through it; :func:`fetch_strip` serves
-every pair of one distance at once, in two row gathers; and
-:func:`tbt_factorization` reads the n stored cells its columns come from
-straight through :func:`_source`.  The matrix is
+every pair of one distance at once, reading each stored cell of that
+distance once; and :func:`tbt_factorization` reads the n stored cells
+its columns come from straight through :func:`_source`.  The matrix is
 read exclusively through column slices built from the generator
 (:func:`~tbtinv.core.column_accessor`, under the accessor contract of
 :func:`~tbtinv.core.column_inner`), never through a dense copy, and the
@@ -159,20 +159,27 @@ def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip:
     The strip :func:`~tbtinv.oracle.stack_cells` makes of the :func:`fetch`
     of each pair, read in two row gathers instead.  A whole-block shift
     keeps the values of a cell, so row k is row k mod n1 of the strip.
-    The first gather stacks the stored cells :func:`_source` serves the
-    rows k0 < min(n1, n - w) from, :func:`_mirror_values` mirrors them all
-    at once, and the second expands the direct and mirrored rows to the
-    n - w rows of the strip.  A stored cell read off the support of its
-    pair raises InternalIndexError.
+    The rows k0 < min(n1, n - w) are served by the stored cells of the
+    map's row for w, each read once: the first gather stacks those
+    distinct cells, :func:`_mirror_values` mirrors them all at once, and
+    the second expands the direct and mirrored rows to the n - w rows of
+    the strip.  A stored cell read off the support of its pair raises
+    InternalIndexError.
     """
     n1, n = t.g.n1, t.g.n
     if not 0 <= w <= n - 1:
         raise IndexError(f"distance {w} outside a {n} x {n} table")
-    k0 = np.arange(min(n1, n - w))
-    src, cells = zip(*(_source(t, k, w) for k in k0.tolist()))
-    read = stack_cells(cells, src, w)
+    r = min(n1, n - w)
+    src = _source_map(n1)[w % n1][:r] if w else range(r)
+    # Every row the map names serves itself, so those rows are the cells.
+    heads = [k for k, s in enumerate(src) if s == k]
+    read = stack_cells([_source(t, k, w)[1] for k in heads], heads, w)
     both = [np.concatenate(pair) for pair in zip(read, _mirror_values(*read))]
-    rows = np.where(k0 == src, k0, k0 + len(k0))[np.arange(n - w) % n1]
+    # ``both`` holds the cells, then their mirrors.
+    at = {s: i for i, s in enumerate(heads)}
+    first = [at[s] if s == k else len(heads) + at[s]
+             for k, s in enumerate(src)]
+    rows = np.array(first)[np.arange(n - w) % n1]
     return _frozen(GrcStrip(*(x[rows] for x in both)))
 
 

@@ -94,14 +94,25 @@ def gaussian_kernel(n1: int, n2: int, ell: float) -> TbtGenerator:
     1.5e3 for ell = 1, 5.7e9 for ell = 2, 4e14 for ell = 3), which makes
     it the family for accuracy tests on badly conditioned inputs.  An
     ``ell`` at which 2 ell^2 overflows (above about 9.5e153) is rejected
-    with ValueError, as the kernel would be the singular all-ones matrix.
+    with ValueError, as the kernel would be the singular all-ones matrix,
+    and so is one at which 2 ell^2 falls below the smallest normal float
+    (below about 1.055e-154), where it loses precision and then reaches 0.
+    Above that, an exponent that overflows to -inf gives exp(-inf) = 0,
+    the exact limit, so that overflow is silenced.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("sizes must be >= 1")
     if not ell > 0.0:
         raise ValueError("length scale must be positive")
-    if not np.isfinite(2.0 * float(ell) * float(ell)):
+    x = float(ell)
+    two_ell2 = 2.0 * x * x
+    if not np.isfinite(two_ell2):
         raise ValueError("length scale too large: 2 ell^2 overflows")
+    if two_ell2 < np.finfo(float).tiny:
+        raise ValueError(f"length scale {x:g} too small: 2 ell^2 is below "
+                         f"the smallest normal float")
     d = np.arange(n2)[:, None]
     s = np.arange(-(n1 - 1), n1)[None, :]
-    return TbtGenerator(n1, n2, np.exp(-(d ** 2 + s ** 2) / (2 * ell ** 2)))
+    with np.errstate(over="ignore"):
+        c = np.exp(-(d ** 2 + s ** 2) / two_ell2)
+    return TbtGenerator(n1, n2, c)

@@ -233,11 +233,12 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
     Row k is :func:`grc_step` at (k, k + w): it reads the (k, l-1) forward
     polynomial from row k of ``prev`` and the (k+1, l) backward one from
     row k + 1, and ``seg[k, i] = R[k+i, k+w]`` is the column segment its
-    inner product takes.  Every check of the step is made on every row;
-    the first failing row raises what the cell-by-cell recursion raises
-    there.  A completed strip charges the counter what its steps and
-    inner products would: (3w+3, 3w, 2) multiplies, adds and divides per
-    row.
+    inner product takes.  Every check of the step is made on the whole
+    strip at once, by one reduction each; only when one fails is it made
+    row by row, and the first failing row raises what the cell-by-cell
+    recursion raises there.  A completed strip charges the counter what
+    its steps and inner products would: (3w+3, 3w, 2) multiplies, adds and
+    divides per row.
     """
     p_hat, vp_hat = prev.p[:-1], prev.vp[:-1]
     q_hat, v_hat = prev.q[1:], prev.v[1:]
@@ -252,10 +253,12 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
     q = np.zeros_like(p)
     q[:, 1:] = q_hat
     q[:, :w] -= ap[:, None] * p_hat
-    held = (v_hat > _TINY) & (vp_hat > _TINY)
-    ok = (held & np.isfinite(growth) & (gr > PD_TOL)
-          & np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1))
-    if not ok.all():
+    # A minimum is NaN when any value is, so each test fails on NaN too.
+    if not (v_hat.min() > _TINY and vp_hat.min() > _TINY and gr.min() > PD_TOL
+            and _finite(growth) and _finite(p) and _finite(q)):
+        held = (v_hat > _TINY) & (vp_hat > _TINY)
+        ok = (held & np.isfinite(growth) & (gr > PD_TOL)
+              & np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1))
         k = int(np.argmin(ok))
         raise _step_error(k, k + w, num[k] if held[k] else None, growth[k])
     if counter is not None:
@@ -317,19 +320,20 @@ def cells_deviation(got: GrcStrip, want: GrcStrip) -> float:
     Each scalar and each polynomial is compared relative to the larger of
     1 and the magnitude of its ``want`` value; the worst over all rows and
     all six quantities is returned.  Strips whose polynomials differ in
-    shape have different supports and are infinitely apart.  Scalar
-    moduli are ``np.hypot`` of the parts, which rounds like the scalar
-    ``abs`` of a complex number.
+    shape have different supports and are infinitely apart.  The four
+    scalars of every row are compared as one 4 x r array, and the p and q
+    rows as one 2r x (w+1) array.  Scalar moduli are ``np.hypot`` of the
+    parts, which rounds like the scalar ``abs`` of a complex number.
     """
     if (got.p.shape, got.q.shape) != (want.p.shape, want.q.shape):
         return float("inf")
-    x, y = (np.stack((s.a, s.ap, s.v, s.vp), axis=1) for s in (got, want))
+    x, y = (np.array((s.a, s.ap, s.v, s.vp)) for s in (got, want))
     d = x - y
     scalar = (np.hypot(d.real, d.imag)
               / np.maximum(1.0, np.hypot(y.real, y.imag)))
-    x, y = (np.stack((s.p, s.q), axis=1) for s in (got, want))
-    poly = (np.max(np.abs(x - y), axis=2)
-            / np.maximum(1.0, np.max(np.abs(y), axis=2)))
+    x, y = (np.concatenate((s.p, s.q)) for s in (got, want))
+    poly = (np.max(np.abs(x - y), axis=1)
+            / np.maximum(1.0, np.max(np.abs(y), axis=1)))
     return float(max(np.max(scalar), np.max(poly)))
 
 

@@ -14,6 +14,7 @@ from tbtinv.cli import EXIT_BEYOND_PRECISION, EXIT_FAIL, EXIT_INTERNAL, \
     EXIT_NOT_PD, EXIT_PASS, EXIT_USAGE, main, run_verify
 from tbtinv.fileio import read_dense, read_factor, read_generator, \
     write_generator
+from tbtinv.oracle import entry_deviation
 from conftest import identity_generator, poison_column
 
 
@@ -320,6 +321,27 @@ def test_usage_errors(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+    gen = tmp_path / "g.txt"
+    assert main(["gen", "--n1", "2", "--n2", "2", "--output", str(gen)]) \
+        == EXIT_PASS
+    assert main(["verify", "--input", str(gen)]) == EXIT_PASS
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    # A usage error after a successful call is still one stderr line.
+    capsys.readouterr()
+    assert main(["verify", "--tolerance", "1e-8"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
 def test_run_verify_identity():
     report = run_verify(identity_generator(2, 2), tolerance=1e-8)
     assert report.table_deviation == 0.0
@@ -387,6 +409,22 @@ def test_table_deviation_is_the_cellwise_maximum_gaussian(ell):
     g = gaussian_kernel(8, 8, ell)
     dev = run_verify(g, 1.0).table_deviation
     assert dev > 0.0 and dev == _cellwise_table_deviation(g)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_pd_tbt(1, 9, seed=3),
+    lambda: generate_pd_tbt(9, 1, seed=3),
+    lambda: generate_pd_tbt(3, 4, seed=3),
+    lambda: gaussian_kernel(8, 8, 2.0),
+], ids=["1x9", "9x1", "3x4", "gauss8x8-l2"])
+def test_table_deviation_is_the_worst_entry_deviation(make):
+    # The strip check reads each stored cell once per distance; its value
+    # is still the per-pair definition, exactly.
+    g = make()
+    tables, reference = tbt_grc(g), grc_full(assemble_dense(g))
+    want = max(entry_deviation(fetch(tables, k, l), reference.get(k, l))
+               for k in range(g.n) for l in range(k, g.n))
+    assert run_verify(g, 1.0).table_deviation == want
 
 
 def test_widened_stored_support_is_internal_error(monkeypatch):

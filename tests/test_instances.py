@@ -121,9 +121,22 @@ def test_gaussian_kernel_values_and_conditioning():
 @pytest.mark.parametrize("args", [(0, 2, 1.0), (2, 0, 1.0), (2, 2, 0.0),
                                   (2, 2, -1.0), (2, 2, float("nan")),
                                   (2, 2, float("inf")), (2, 2, 1.3e154),
-                                  (2, 2, np.float64(1e200))])
+                                  (2, 2, np.float64(1e200)),
+                                  (2, 2, 1e-160), (2, 2, 1e-300)])
 @pytest.mark.filterwarnings("error")
 def test_gaussian_kernel_rejects_bad_arguments(args):
-    # Where 2 ell^2 overflows the kernel would be all ones, singular.
+    # Where 2 ell^2 overflows the kernel would be all ones, singular; below
+    # the smallest normal float it loses precision and then reaches 0.
     with pytest.raises(ValueError):
         gaussian_kernel(*args)
+
+
+@pytest.mark.parametrize("ell", [1e-150, 1.1e-154])
+@pytest.mark.filterwarnings("error")
+def test_gaussian_kernel_tiny_length_scale_is_the_identity(ell):
+    # An exponent that overflows to -inf (below about 5.2e-154 on 8 x 8)
+    # gives exp(-inf) = 0, the exact limit, without a warning.
+    g = gaussian_kernel(8, 8, ell)
+    want = np.zeros((8, 15))
+    want[0, 7] = 1.0
+    assert np.array_equal(g.c, want)
