@@ -12,8 +12,11 @@ written, and :func:`_mirror_values` the one place the mirror formula is.
 :func:`fetch` serves every pair from the stored half, and the recursion
 itself reads its predecessors through it; :func:`fetch_strip` serves
 every pair of one distance at once, reading each stored cell of that
-distance once; and :func:`tbt_factorization` reads the n stored cells
-its columns come from straight through :func:`_source`.  The matrix is
+distance once; and :func:`tbt_factorization` has the recursion keep
+only the n stored cells its columns come from, one per distance, and
+reads them straight through :func:`_source`.  Every other cell is
+dropped once the next distance is done, so the factor's memory is
+O(n^2), not the whole half-table's O(n1 * n^2).  The matrix is
 read exclusively through column slices built from the generator
 (:func:`~tbtinv.core.column_accessor`, under the accessor contract of
 :func:`~tbtinv.core.column_inner`), never through a dense copy, and the
@@ -45,7 +48,9 @@ class CanonicalTables:
     Keys are the diagonal pairs (k, k) for k < n1 plus every pair
     (k, k + w), k < n1, that :func:`_source_map` maps to itself: of a pair
     and its antidiagonal mirror, the one with the smaller row.
-    :func:`fetch` serves every other pair from one of them.
+    :func:`fetch` serves every other pair from one of them.  Tables made
+    with :func:`tbt_grc`'s ``keep`` hold only the kept ones of these
+    keys, and a pair served by a dropped one raises InternalIndexError.
     """
 
     g: TbtGenerator
@@ -70,16 +75,30 @@ def _source_map(n1: int) -> tuple:
     return tuple(map(tuple, np.minimum(k0, mk).tolist()))
 
 
+def _stored_pair(n1: int, k0: int, w: int) -> tuple:
+    """The stored pair (s, s + w) that serves (k0, k0 + w), k0 < n1: s is
+    the map's row, or k0 itself for a diagonal pair.  The pair itself when
+    s == k0, else its mirror.
+    """
+    s = _source_map(n1)[w % n1][k0] if w else k0
+    return s, s + w
+
+
+def _factor_pairs(g: TbtGenerator) -> set:
+    """The n stored pairs the factor's columns come from, one per
+    distance: column k is the full-width cell (k, n-1)."""
+    return {_stored_pair(g.n1, k % g.n1, g.n - 1 - k) for k in range(g.n)}
+
+
 def _source(t: CanonicalTables, k0: int, w: int) -> tuple:
     """``(s, e)``: the row s of the stored pair that serves (k0, k0 + w),
-    k0 < n1, and its cell e = (s, s + w): the map's row, or k0 itself for
-    a diagonal pair.  The pair itself when s == k0, else its mirror.
+    k0 < n1, and its cell e, by :func:`_stored_pair`.
     """
-    s = _source_map(t.g.n1)[w % t.g.n1][k0] if w else k0
-    e = t.entries.get((s, s + w))
+    s, l = _stored_pair(t.g.n1, k0, w)
+    e = t.entries.get((s, l))
     if e is None:
         raise InternalIndexError(f"pair ({k0}, {k0 + w}) has no stored "
-                                 f"value at ({s}, {s + w})")
+                                 f"value at ({s}, {l})")
     return s, e
 
 
@@ -96,7 +115,8 @@ def _mirror_values(a, ap, v, vp, p, q):
             np.conj(q[..., ::-1]), np.conj(p[..., ::-1]))
 
 
-def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None) -> CanonicalTables:
+def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
+            keep: set | None = None) -> CanonicalTables:
     """Run the half-table recursion over the generator.
 
     The n1 stored diagonal pairs (k, k) hold the unit vector e_k as both
@@ -108,11 +128,25 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None) -> CanonicalTable
     or a block shift keeps the distance, so every predecessor is ready
     when it is read.  Each step checks every value it produces, so numpy's
     warnings about non-finite values are silenced for the whole loop.
+
+    By default every stored cell is kept.  Given a set of pairs ``keep``,
+    the cells of distance w - 1 that are not in it are dropped once
+    distance w is done, as no later step reads them, and the returned
+    tables hold exactly the stored pairs in ``keep``: the memory is that
+    of two distances and the kept cells.  :func:`fetch` of a pair served
+    by a dropped cell raises InternalIndexError.
     """
     n1, n = g.n1, g.n
     m = column_accessor(g)
     c00 = g.c[0, n1 - 1].real
     t = CanonicalTables(g, {})
+
+    def release(w):
+        if keep is not None:
+            for k in range(n1):
+                if (k, k + w) not in keep:
+                    t.entries.pop((k, k + w), None)
+
     for k in range(n1):
         e_k = unit_band(n, k)
         t.entries[(k, k)] = GrcEntry(0j, 0j, c00, c00, e_k, e_k)
@@ -127,6 +161,8 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None) -> CanonicalTable
                 below = fetch(t, k + 1, l)
                 t.entries[(k, l)] = grc_step(left.p, below.q, below.v,
                                              left.vp, m, k, l, counter)
+            release(w - 1)
+    release(n - 1)
     return t
 
 
@@ -188,23 +224,28 @@ def tbt_factorization(g: TbtGenerator, counter: OpCounter | None = None, *,
     """Inverse factor of the TBT matrix from the half-table recursion.
 
     Matches the factor the dense reference recursion produces, but never
-    assembles the matrix.  A caller that already holds ``tbt_grc(g)``
-    passes it as ``tables``: the recursion is not run again and
-    ``counter`` is not charged, and tables of another generator raise
-    ValueError.  Column k is the full-width cell (k, n-1), which
-    :func:`_source` serves from one stored cell.  Only those n cells are
-    kept once the tables are released; the ones served by their mirror
-    go through :func:`_mirror_values` one at a time, as the n x n factor
-    takes them.
+    assembles the matrix.  Column k is the full-width cell (k, n-1), which
+    :func:`_source` serves from one stored cell, one per distance.  The
+    recursion keeps only those n cells (:func:`tbt_grc`'s ``keep``), so
+    the memory stays O(n^2); each is released as the n x n factor takes
+    its column, and the ones served by their mirror go through
+    :func:`_mirror_values` one at a time.  A caller that already holds
+    ``tbt_grc(g)`` passes it as ``tables``: the recursion is not run again
+    and ``counter`` is not charged, and tables of another generator raise
+    ValueError.
     """
-    t = tables if tables is not None else tbt_grc(g, counter)
+    t = (tables if tables is not None
+         else tbt_grc(g, counter, keep=_factor_pairs(g)))
     if not np.array_equal(t.g.c, g.c):  # c's shape fixes n1 and n2
         raise ValueError("tables were computed from another generator")
-    sources = [_source(t, k % g.n1, g.n - 1 - k) for k in range(g.n)]
+    # Last column first, so that popping releases each cell in turn.
+    sources = [_source(t, k % g.n1, g.n - 1 - k)
+               for k in reversed(range(g.n))]
     del t
 
     def columns():
-        for k, (s, e) in enumerate(sources):
+        for k in range(g.n):
+            s, e = sources.pop()
             a, ap, v, vp, p, q = *e[:4], e.p.coeff, e.q.coeff
             if s != k % g.n1:
                 a, ap, v, vp, p, q = _mirror_values(a, ap, v, vp, p, q)

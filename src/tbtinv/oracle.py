@@ -131,7 +131,7 @@ class InverseFactor:
         # the factor.
         for i in range(0, n, 64):
             rows = lower[i:i + 64]
-            above = np.flatnonzero(np.triu(rows, i + 1).any(axis=1))
+            above = np.flatnonzero(np.triu(rows != 0, i + 1).any(axis=1))
             if above.size:
                 raise ValueError(f"factor row {i + above[0]} must be zero "
                                  f"above the diagonal")

@@ -370,16 +370,57 @@ def _peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def test_factorization_peak_is_the_table_peak():
-    # Only the n source cells of the factor outlive the tables, and the
-    # mirrored columns are made one at a time after the tables are
-    # released, so the peak is the recursion's own (the ratio reads 1.0000
-    # here).  Holding the tables and the n x n factor at once would raise
-    # it about 10%.  The first call is left out: it also allocates one-time
-    # caches.
-    g = generate_pd_tbt(16, 16, seed=15)
-    tbt_factorization(g)
-    assert _peak_bytes(tbt_factorization, g) <= 1.05 * _peak_bytes(tbt_grc, g)
+def test_factorization_peak_is_a_few_factors():
+    # The recursion keeps only the n source cells of the factor, whose p
+    # and q together are the size of the n x n factor, next to two
+    # distances of cells, and each source cell goes as its column is
+    # written.  The peak reads about 2.2 factors on both shapes; holding
+    # the whole half-table read 9.4 (16 x 16) and 24 (48 x 4).  The first
+    # call is left out: it also allocates one-time caches.
+    for n1, n2 in ((16, 16), (48, 4)):
+        g = generate_pd_tbt(n1, n2, seed=15)
+        tbt_factorization(g)
+        assert _peak_bytes(tbt_factorization, g) <= 3 * g.n ** 2 * 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1=st.integers(1, 8), n2=st.integers(1, 8), seed=st.integers(0, 2**32))
+@example(n1=1, n2=8, seed=0)
+@example(n1=8, n2=1, seed=0)
+@example(n1=1, n2=1, seed=0)
+def test_factorization_dropping_cells_is_the_full_tables_factor(n1, n2, seed):
+    g = generate_pd_tbt(n1, n2, seed)
+    dropping, full = OpCounter(), OpCounter()
+    got = tbt_factorization(g, dropping)
+    want = tbt_factorization(g, tables=tbt_grc(g, full))
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.diag, want.diag)
+    assert ((dropping.mul, dropping.add, dropping.div)
+            == (full.mul, full.add, full.div))
+
+
+@pytest.mark.parametrize("n1,n2", [(3, 4), (4, 3), (1, 6), (6, 1), (1, 1)])
+def test_kept_tables_hold_exactly_the_factor_pairs(n1, n2):
+    g = generate_pd_tbt(n1, n2, seed=n1 * n2)
+    full = tbt_grc(g)
+    # The stored pair of each column (k, n-1), found from the full tables:
+    # its block-shifted pair if stored, else that pair's mirror.
+    want = set()
+    for k in range(g.n):
+        k0 = k % n1
+        pair = (k0, k0 + g.n - 1 - k)
+        want.add(pair if full.is_stored(*pair)
+                 else tuple(index_exchange(*pair, n1)))
+    keep = tbtinv.fast._factor_pairs(g)
+    assert keep == want and len(keep) == g.n
+    t = tbt_grc(g, keep=keep)
+    assert set(t.entries) == keep
+    for pair in keep:
+        assert t.entries[pair] == full.entries[pair]
+    for k, l in full.entries.keys() - keep:
+        with pytest.raises(InternalIndexError):
+            fetch(t, k, l)
+    assert tbt_grc(g, keep=set()).entries == {}
 
 
 @pytest.mark.parametrize("n1,n2", [(16, 16), (1, 7), (7, 1)])

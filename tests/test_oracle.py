@@ -343,6 +343,19 @@ def test_inverse_factor_names_the_defective_row(row):
         InverseFactor(lower, diag)
 
 
+def test_inverse_factor_upper_check_reads_nonzero_entries():
+    # A NaN or a tiny imaginary part above the diagonal is nonzero there;
+    # a negative zero is zero.
+    for bad in (np.nan, 1e-300j, complex(np.nan, 0.0)):
+        lower = np.eye(3, dtype=complex)
+        lower[0, 2] = bad
+        with pytest.raises(ValueError, match="factor row 0 must be zero"):
+            InverseFactor(lower, np.ones(3))
+    lower = np.eye(3, dtype=complex)
+    lower[1, 2] = complex(-0.0, -0.0)
+    assert InverseFactor(lower, np.ones(3)).n == 3
+
+
 def test_inverse_dense_identity_and_2x2():
     f = build_factorization(grc_full(np.eye(3, dtype=complex)))
     assert np.array_equal(inverse_dense(f), np.eye(3))
