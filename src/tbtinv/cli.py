@@ -97,6 +97,7 @@ def run_verify(g: TbtGenerator,
     tables = tbt_grc(g)
     dev = max(cells_deviation(fetch_strip(tables, w), reference.strips[w])
               for w in range(n))
+    del reference  # the later checks read only the fast tables
     inverse = inverse_dense(tbt_factorization(g, tables=tables))
     resid = float(np.linalg.norm(r @ inverse - np.eye(n)) / np.sqrt(n))
     wwr_rel = None

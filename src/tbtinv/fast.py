@@ -8,15 +8,18 @@ whose head lies beyond the first block row has the values of the pair
 whole blocks above it.  So the row of the stored pair that serves a pair
 of head k and distance w >= 1 depends only on k mod n1 and w mod n1: that
 n1 x n1 map, :func:`_source_map`, is the one place the storage rule is
-written, and :func:`_mirror_values` the one place the mirror formula is.
+written, and :func:`_mirror_values` the one place the mirror formula is
+(:func:`_column` writes only its p and vp, the part a column reads).
 :func:`fetch` serves every pair from the stored half, and the recursion
 itself reads its predecessors through it; :func:`fetch_strip` serves
 every pair of one distance at once, reading each stored cell of that
 distance once; and :func:`tbt_factorization` has the recursion keep
 only the n stored cells its columns come from, one per distance, and
 reads them straight through :func:`_source`.  Every other cell is
-dropped once the next distance is done, so the factor's memory is
-O(n^2), not the whole half-table's O(n1 * n^2).  The matrix is
+dropped once the next distance is done, and each kept cell is cut to
+the one polynomial its column reads before the n x n factor is
+allocated, so the factor's memory is O(n^2), about 1.5 times the
+factor, not the whole half-table's O(n1 * n^2).  The matrix is
 read exclusively through column slices built from the generator
 (:func:`~tbtinv.core.column_accessor`, under the accessor contract of
 :func:`~tbtinv.core.column_inner`), never through a dense copy, and the
@@ -227,27 +230,33 @@ def tbt_factorization(g: TbtGenerator, counter: OpCounter | None = None, *,
     assembles the matrix.  Column k is the full-width cell (k, n-1), which
     :func:`_source` serves from one stored cell, one per distance.  The
     recursion keeps only those n cells (:func:`tbt_grc`'s ``keep``), so
-    the memory stays O(n^2); each is released as the n x n factor takes
-    its column, and the ones served by their mirror go through
-    :func:`_mirror_values` one at a time.  A caller that already holds
-    ``tbt_grc(g)`` passes it as ``tables``: the recursion is not run again
-    and ``counter`` is not charged, and tables of another generator raise
-    ValueError.
+    the memory stays O(n^2).  Before the n x n factor is allocated, each
+    cell is cut to its column by :func:`_column` and dropped: a direct
+    cell keeps p and vp, a mirrored one becomes the reversed conjugate
+    of its q and v.  The columns hold half the cells' coefficients, so
+    allocating the factor brings the peak to about 1.5 factors, not
+    2.2.  A caller that already holds ``tbt_grc(g)`` passes it as
+    ``tables``: the recursion is not run again, ``counter`` is not
+    charged, the tables are left as they are, and tables of another
+    generator raise ValueError.
     """
     t = (tables if tables is not None
          else tbt_grc(g, counter, keep=_factor_pairs(g)))
     if not np.array_equal(t.g.c, g.c):  # c's shape fixes n1 and n2
         raise ValueError("tables were computed from another generator")
-    # Last column first, so that popping releases each cell in turn.
-    sources = [_source(t, k % g.n1, g.n - 1 - k)
-               for k in reversed(range(g.n))]
+    sources = [_source(t, k % g.n1, g.n - 1 - k) for k in range(g.n)]
     del t
+    # Popping drops each cell once its column is made, before the factor
+    # is allocated, and each column once the factor holds it.
+    columns = [_column(*sources.pop(), k % g.n1)
+               for k in reversed(range(g.n))]
+    return assemble_factor(columns.pop() for _ in range(g.n))
 
-    def columns():
-        for k in range(g.n):
-            s, e = sources.pop()
-            a, ap, v, vp, p, q = *e[:4], e.p.coeff, e.q.coeff
-            if s != k % g.n1:
-                a, ap, v, vp, p, q = _mirror_values(a, ap, v, vp, p, q)
-            yield p, vp
-    return assemble_factor(columns())
+
+def _column(s: int, e: GrcEntry, k0: int) -> tuple:
+    """``(p, vp)`` of a full-width cell whose head is k0 modulo n1, from
+    the stored cell e of row s that :func:`_source` serves it from.  A
+    mirrored cell gives the reversed conjugate of its q and its residual
+    v, the p and vp of :func:`_mirror_values`; nothing else of e is read.
+    """
+    return (e.p.coeff, e.vp) if s == k0 else (np.conj(e.q.coeff[::-1]), e.v)

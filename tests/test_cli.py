@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -367,6 +368,26 @@ def test_run_verify_builds_dense_matrix_and_tables_once(monkeypatch):
     report = run_verify(generate_pd_tbt(2, 3, seed=8))
     assert report.passed and report.wwr_relative_residual is not None
     assert calls == {"assemble_dense": 1, "tbt_grc": 1}
+
+
+def test_run_verify_releases_reference_before_the_factor(monkeypatch):
+    grc_full, factorization = cli.grc_full, cli.tbt_factorization
+    reference = []
+
+    def kept(*args, **kwargs):
+        t = grc_full(*args, **kwargs)
+        reference.append(weakref.ref(t))
+        return t
+
+    def checked(*args, **kwargs):
+        assert reference and reference[0]() is None, \
+            "the reference tables outlive the strip comparison"
+        return factorization(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "grc_full", kept)
+    monkeypatch.setattr(cli, "tbt_factorization", checked)
+    assert run_verify(generate_pd_tbt(3, 2, seed=4)).passed
+    assert len(reference) == 1
 
 
 def test_run_verify_single_block():

@@ -373,14 +373,17 @@ def _peak_bytes(fn, *args):
 def test_factorization_peak_is_a_few_factors():
     # The recursion keeps only the n source cells of the factor, whose p
     # and q together are the size of the n x n factor, next to two
-    # distances of cells, and each source cell goes as its column is
-    # written.  The peak reads about 2.2 factors on both shapes; holding
-    # the whole half-table read 9.4 (16 x 16) and 24 (48 x 4).  The first
-    # call is left out: it also allocates one-time caches.
+    # distances of cells.  Each cell is cut to the one polynomial its
+    # column reads, half a factor for all n, before the factor is
+    # allocated.  The peak reads 1.54 factors at 16 x 16 and 1.69 at
+    # 48 x 4, where the recursion's two distances set it; keeping both
+    # polynomials until the factor took its column read 2.15 and 2.20,
+    # and holding the whole half-table 9.4 and 24.  The first call is
+    # left out: it also allocates one-time caches.
     for n1, n2 in ((16, 16), (48, 4)):
         g = generate_pd_tbt(n1, n2, seed=15)
         tbt_factorization(g)
-        assert _peak_bytes(tbt_factorization, g) <= 3 * g.n ** 2 * 16
+        assert _peak_bytes(tbt_factorization, g) <= 2 * g.n ** 2 * 16
 
 
 @settings(max_examples=40, deadline=None)
@@ -439,6 +442,22 @@ def test_factorization_from_tables_reads_stored_cells_only(monkeypatch,
     assert np.array_equal(got.lower, want.lower)
     assert np.array_equal(got.diag, want.diag)
     assert counter.total == 0  # the recursion did not run again
+
+
+@pytest.mark.parametrize("n1,n2", [(4, 3), (3, 4), (1, 5), (5, 1)])
+def test_factorization_leaves_the_callers_tables_intact(n1, n2):
+    # The factor drops only its own references to the cells it reads.
+    g = generate_pd_tbt(n1, n2, seed=n1 * 10 + n2)
+    t = tbt_grc(g)
+    cells = dict(t.entries)
+    arrays = {pair: (e.p.coeff, e.q.coeff) for pair, e in cells.items()}
+    want = [fetch(t, k, l) for k in range(g.n) for l in range(k, g.n)]
+    tbt_factorization(g, tables=t)
+    assert t.entries.keys() == cells.keys()
+    for pair, e in t.entries.items():
+        assert e is cells[pair]
+        assert e.p.coeff is arrays[pair][0] and e.q.coeff is arrays[pair][1]
+    assert [fetch(t, k, l) for k in range(g.n) for l in range(k, g.n)] == want
 
 
 def test_factorization_source_cell_of_wrong_length():
