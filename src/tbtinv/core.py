@@ -250,20 +250,21 @@ _set_n, _set_lo, _set_hi, _set_coeff = (
 def _band(n: int, lo: int, hi: int, coeff: np.ndarray) -> BandVector:
     """BandVector for the recursion's own builders, without the value checks.
 
-    The caller guarantees that ``coeff`` is a finite, read-only 1-D
-    complex array: :func:`~tbtinv.oracle.grc_step` and
-    :func:`~tbtinv.oracle.grc_strip_step` check each polynomial they create
-    once and freeze it, :func:`unit_band` builds a constant, :func:`shift`
-    reuses such an array, and :func:`~tbtinv.fast.fetch` reuses one or
-    conjugates and freezes it.  Only the integer invariants are checked
-    here: 0 <= lo <= hi <= n-1 and one coefficient per support index.  A
-    failure is an index derivation gone wrong, so it raises
-    :class:`InternalIndexError`.
+    The caller guarantees that ``coeff`` is a finite 1-D complex array:
+    :func:`~tbtinv.oracle.grc_step` checks each polynomial it creates
+    once, :meth:`~tbtinv.oracle.CoeffTables.get` reads a row of a strip
+    :func:`~tbtinv.oracle.grc_strip_step` checked, :func:`unit_band`
+    builds a constant, :func:`shift` reuses such an array, and
+    :func:`~tbtinv.fast.fetch` reuses one or conjugates it.  ``coeff`` is
+    frozen here.  Only the integer invariants are checked: 0 <= lo <= hi
+    <= n-1 and one coefficient per support index.  A failure is an index
+    derivation gone wrong, so it raises :class:`InternalIndexError`.
     """
     if not (0 <= lo <= hi <= n - 1) or len(coeff) != hi - lo + 1:
         raise InternalIndexError(
             f"support [{lo}, {hi}] with {len(coeff)} coefficients invalid "
             f"for length {n}")
+    coeff.setflags(write=False)
     v = _new_band(BandVector)
     _set_n(v, n)
     _set_lo(v, lo)
@@ -273,7 +274,6 @@ def _band(n: int, lo: int, hi: int, coeff: np.ndarray) -> BandVector:
 
 
 _ONE = np.ones(1, dtype=complex)
-_ONE.setflags(write=False)
 
 
 def unit_band(n: int, k: int) -> BandVector:
@@ -311,17 +311,13 @@ def band_to_dense(v: BandVector) -> np.ndarray:
     return out
 
 
-def column_inner(v: BandVector, m, col: int, counter: OpCounter | None = None):
+def column_inner(v: BandVector, m, col: int):
     """Sum of v_i * R[i, col] over the support of ``v``.
 
     Accessor contract: ``m(rows, col)`` takes the row slice
     ``v.lo:v.hi+1`` and a column index and returns that segment of column
     ``col`` of R as an array.  The dense path passes ``R[rows, col]``, the
     generator path :func:`column_accessor`.  Cost is proportional to the
-    support width, which the attached counter records.
+    support width.
     """
-    acc = np.dot(v.coeff, m(slice(v.lo, v.hi + 1), col))
-    if counter is not None:
-        counter.mul += v.width
-        counter.add += v.width - 1
-    return acc
+    return np.dot(v.coeff, m(slice(v.lo, v.hi + 1), col))

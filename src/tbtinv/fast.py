@@ -19,11 +19,10 @@ reads them straight through :func:`_source`.  Every other cell is
 dropped once the next distance is done, and each kept cell is cut to
 the one polynomial its column reads before the n x n factor is
 allocated, so the factor's memory is O(n^2), about 1.5 times the
-factor, not the whole half-table's O(n1 * n^2).  The matrix is
-read exclusively through column slices built from the generator
-(:func:`~tbtinv.core.column_accessor`, under the accessor contract of
-:func:`~tbtinv.core.column_inner`), never through a dense copy, and the
-total work is O(n1^3 * n2^2) scalar operations.
+factor.  The matrix is read exclusively through column slices built
+from the generator (:func:`~tbtinv.core.column_accessor`, under the
+accessor contract of :func:`~tbtinv.core.column_inner`), never through
+a dense copy, and the total work is O(n1^3 * n2^2) scalar operations.
 """
 
 import functools
@@ -187,8 +186,6 @@ def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
     a, ap, v, vp, p, q = e.a, e.ap, e.v, e.vp, e.p.coeff, e.q.coeff
     if s != k0:
         a, ap, v, vp, p, q = _mirror_values(a, ap, v, vp, p, q)
-        p.setflags(write=False)
-        q.setflags(write=False)
     return GrcEntry(a, ap, v, vp, _band(n, k, l, p), _band(n, k, l, q))
 
 
@@ -234,11 +231,11 @@ def tbt_factorization(g: TbtGenerator, counter: OpCounter | None = None, *,
     cell is cut to its column by :func:`_column` and dropped: a direct
     cell keeps p and vp, a mirrored one becomes the reversed conjugate
     of its q and v.  The columns hold half the cells' coefficients, so
-    allocating the factor brings the peak to about 1.5 factors, not
-    2.2.  A caller that already holds ``tbt_grc(g)`` passes it as
-    ``tables``: the recursion is not run again, ``counter`` is not
-    charged, the tables are left as they are, and tables of another
-    generator raise ValueError.
+    allocating the factor brings the peak to about 1.5 factors.  A
+    caller that already holds ``tbt_grc(g)`` passes it as ``tables``: the
+    recursion is not run again, ``counter`` is not charged, the tables
+    are left as they are, and tables of another generator raise
+    ValueError.
     """
     t = (tables if tables is not None
          else tbt_grc(g, counter, keep=_factor_pairs(g)))

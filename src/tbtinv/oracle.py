@@ -157,10 +157,12 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     serves both coefficients: the backward numerator is the conjugate of
     the forward one.  ``m`` is a column-slice accessor under the contract
     of :func:`~tbtinv.core.column_inner`.  Each new polynomial is checked
-    finite once and frozen, so the band vectors built from it skip the
-    public constructor's checks.  Predecessors off the supports
-    [k, l-1] and [k+1, l] are an index bug: InternalIndexError.  A failed
-    numerical check raises :func:`_step_error`'s error.
+    finite once, so the band vectors :func:`~tbtinv.core._band` builds
+    from it skip the public constructor's checks.  A completed step
+    charges ``counter`` its whole cost by :func:`_charge`.  Predecessors
+    off the supports [k, l-1] and [k+1, l] are an index bug:
+    InternalIndexError.  A failed numerical check raises
+    :func:`_step_error`'s error.
     """
     if p_hat.lo != k or p_hat.hi != l - 1 or q_hat.lo != k + 1 or q_hat.hi != l:
         raise InternalIndexError(
@@ -168,7 +170,7 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
             f"[{p_hat.lo}, {p_hat.hi}] / [{q_hat.lo}, {q_hat.hi}]")
     if not (v_hat > _TINY and vp_hat > _TINY):
         raise _step_error(k, l)
-    num = column_inner(p_hat, m, l, counter)
+    num = column_inner(p_hat, m, l)
     a = num / v_hat
     ap = np.conj(num) / vp_hat
     growth = 1.0 - a * ap
@@ -187,12 +189,7 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     qc[:w] -= ap * p_hat.coeff
     if not (_finite(pc) and _finite(qc)):
         raise _step_error(k, l, num, growth)
-    pc.setflags(write=False)
-    qc.setflags(write=False)
-    if counter is not None:
-        counter.div += 2
-        counter.mul += 2 * w + 3
-        counter.add += 2 * w + 1
+    _charge(counter, 1, w)
     return GrcEntry(a, ap, v_hat * gr, vp_hat * gr,
                     _band(p_hat.n, k, l, pc), _band(q_hat.n, k, l, qc))
 
@@ -220,6 +217,18 @@ def _step_error(k: int, l: int, num=None, growth=None) -> Exception:
         f"polynomial update overflowed at pair {pair}", pair=pair)
 
 
+def _charge(counter: OpCounter | None, cells: int, w: int) -> None:
+    """Charge ``counter`` for ``cells`` completed steps of distance w,
+    (3w+3, 3w, 2) multiplies, adds and divides each: the inner product's
+    w and w - 1, the coefficients' two divides, the growth factor's
+    multiply and add, the residuals' two multiplies, and w multiplies and
+    w adds per polynomial update."""
+    if counter is not None:
+        counter.mul += cells * (3 * w + 3)
+        counter.add += cells * 3 * w
+        counter.div += cells * 2
+
+
 def _finite(x: np.ndarray) -> bool:
     # Cheaper than np.isfinite(x).all() on the short arrays of a step.
     return np.count_nonzero(np.isfinite(x)) == x.size
@@ -236,9 +245,8 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
     inner product takes.  Every check of the step is made on the whole
     strip at once, by one reduction each; only when one fails is it made
     row by row, and the first failing row raises what the cell-by-cell
-    recursion raises there.  A completed strip charges the counter what
-    its steps and inner products would: (3w+3, 3w, 2) multiplies, adds and
-    divides per row.
+    recursion raises there.  A completed strip charges ``counter`` what
+    its steps would, by :func:`_charge`.
     """
     p_hat, vp_hat = prev.p[:-1], prev.vp[:-1]
     q_hat, v_hat = prev.q[1:], prev.v[1:]
@@ -261,11 +269,7 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
               & np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1))
         k = int(np.argmin(ok))
         raise _step_error(k, k + w, num[k] if held[k] else None, growth[k])
-    if counter is not None:
-        r = len(seg)
-        counter.mul += r * (3 * w + 3)
-        counter.add += r * 3 * w
-        counter.div += r * 2
+    _charge(counter, len(seg), w)
     return _frozen(GrcStrip(a, ap, v_hat * gr, vp_hat * gr, p, q))
 
 

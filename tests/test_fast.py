@@ -511,6 +511,31 @@ def test_counter_and_work_advantage():
     assert fast_counter.total < ref_counter.total
 
 
+def _step_cost(pairs):
+    ws = [l - k for k, l in pairs]
+    return sum(3 * w + 3 for w in ws), sum(3 * w for w in ws), 2 * len(ws)
+
+
+@pytest.mark.parametrize("n1", range(1, 13))
+def test_operation_counts_are_exact(n1):
+    # Counts depend on the shape alone: (3w+3, 3w, 2) per stored step of
+    # distance w, and per cell of the dense reference.
+    for n2 in range(1, 13):
+        g = identity_generator(n1, n2)
+        want = _step_cost(loop_pairs(n1, n2))
+        for run in (tbt_grc, tbt_factorization):
+            counter = OpCounter()
+            run(g, counter)
+            got = (counter.mul, counter.add, counter.div)
+            assert got == want, (run.__name__, n1, n2)
+        if g.n <= 24:
+            counter = OpCounter()
+            grc_full(assemble_dense(g), counter)
+            got = (counter.mul, counter.add, counter.div)
+            assert got == _step_cost((k, k + w) for w in range(1, g.n)
+                                     for k in range(g.n - w)), (n1, n2)
+
+
 def test_multiply_count_scaling():
     sizes = [4, 6, 8]
     logs = []

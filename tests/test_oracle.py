@@ -91,6 +91,20 @@ def test_grc_step_identity_passthrough():
     assert np.array_equal(band_to_dense(e.q), [0, 0, 1])
 
 
+def test_grc_step_charges_its_whole_cost():
+    # The inner product's w multiplies and w - 1 adds are charged with
+    # the rest of the step: (3w+3, 3w, 2) in all.
+    for w in range(1, 7):
+        r = random_hermitian_pd(w + 1, seed=w)
+        t = grc_full(r)
+        left, below = t.get(0, w - 1), t.get(1, w)
+        counter = OpCounter()
+        grc_step(left.p, below.q, below.v, left.vp, _dense_accessor(r), 0,
+                 w, counter)
+        got = (counter.mul, counter.add, counter.div)
+        assert got == (3 * w + 3, 3 * w, 2), w
+
+
 def test_grc_step_support_precondition():
     # Predecessors off their supports are an index bug, not a usage error.
     r = np.eye(4, dtype=complex)
