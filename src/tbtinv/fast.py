@@ -51,7 +51,7 @@ class CanonicalTables:
     (k, k + w), k < n1, that :func:`_source_map` maps to itself: of a pair
     and its antidiagonal mirror, the one with the smaller row.
     :func:`fetch` serves every other pair from one of them.  Tables made
-    with :func:`tbt_grc`'s ``keep`` hold only the kept ones of these
+    by :func:`tbt_grc` with ``factor_only`` hold only the factor's n
     keys, and a pair served by a dropped one raises InternalIndexError.
     """
 
@@ -77,30 +77,23 @@ def _source_map(n1: int) -> tuple:
     return tuple(map(tuple, np.minimum(k0, mk).tolist()))
 
 
-def _stored_pair(n1: int, k0: int, w: int) -> tuple:
-    """The stored pair (s, s + w) that serves (k0, k0 + w), k0 < n1: s is
-    the map's row, or k0 itself for a diagonal pair.  The pair itself when
-    s == k0, else its mirror.
+def _stored_row(n1: int, k0: int, w: int) -> int:
+    """The row s of the stored pair (s, s + w) that serves (k0, k0 + w),
+    k0 < n1: the map's row, or k0 itself for a diagonal pair.  The pair
+    itself when s == k0, else its mirror.
     """
-    s = _source_map(n1)[w % n1][k0] if w else k0
-    return s, s + w
-
-
-def _factor_pairs(g: TbtGenerator) -> set:
-    """The n stored pairs the factor's columns come from, one per
-    distance: column k is the full-width cell (k, n-1)."""
-    return {_stored_pair(g.n1, k % g.n1, g.n - 1 - k) for k in range(g.n)}
+    return _source_map(n1)[w % n1][k0] if w else k0
 
 
 def _source(t: CanonicalTables, k0: int, w: int) -> tuple:
     """``(s, e)``: the row s of the stored pair that serves (k0, k0 + w),
-    k0 < n1, and its cell e, by :func:`_stored_pair`.
+    k0 < n1, by :func:`_stored_row`, and its cell e.
     """
-    s, l = _stored_pair(t.g.n1, k0, w)
-    e = t.entries.get((s, l))
+    s = _stored_row(t.g.n1, k0, w)
+    e = t.entries.get((s, s + w))
     if e is None:
         raise InternalIndexError(f"pair ({k0}, {k0 + w}) has no stored "
-                                 f"value at ({s}, {l})")
+                                 f"value at ({s}, {s + w})")
     return s, e
 
 
@@ -118,7 +111,7 @@ def _mirror_values(a, ap, v, vp, p, q):
 
 
 def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
-            keep: set | None = None) -> CanonicalTables:
+            factor_only: bool = False) -> CanonicalTables:
     """Run the half-table recursion over the generator.
 
     The n1 stored diagonal pairs (k, k) hold the unit vector e_k as both
@@ -131,12 +124,12 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
     when it is read.  Each step checks every value it produces, so numpy's
     warnings about non-finite values are silenced for the whole loop.
 
-    By default every stored cell is kept.  Given a set of pairs ``keep``,
-    the cells of distance w - 1 that are not in it are dropped once
-    distance w is done, as no later step reads them, and the returned
-    tables hold exactly the stored pairs in ``keep``: the memory is that
-    of two distances and the kept cells.  :func:`fetch` of a pair served
-    by a dropped cell raises InternalIndexError.
+    By default every stored cell is kept.  With ``factor_only``, every
+    cell of distance w - 1 but the one that column n - w of the factor
+    reads is dropped once distance w is done, as no later step reads it:
+    the tables hold exactly the factor's n cells, one per distance, and
+    the memory is that of two distances and those cells.  :func:`fetch`
+    of a pair served by a dropped cell raises InternalIndexError.
     """
     n1, n = g.n1, g.n
     m = column_accessor(g)
@@ -144,9 +137,10 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
     t = CanonicalTables(g, {})
 
     def release(w):
-        if keep is not None:
+        if factor_only:
+            s = _stored_row(n1, (n - 1 - w) % n1, w)
             for k in range(n1):
-                if (k, k + w) not in keep:
+                if k != s:
                     t.entries.pop((k, k + w), None)
 
     for k in range(n1):
@@ -226,19 +220,19 @@ def tbt_factorization(g: TbtGenerator, counter: OpCounter | None = None, *,
     Matches the factor the dense reference recursion produces, but never
     assembles the matrix.  Column k is the full-width cell (k, n-1), which
     :func:`_source` serves from one stored cell, one per distance.  The
-    recursion keeps only those n cells (:func:`tbt_grc`'s ``keep``), so
-    the memory stays O(n^2).  Before the n x n factor is allocated, each
-    cell is cut to its column by :func:`_column` and dropped: a direct
-    cell keeps p and vp, a mirrored one becomes the reversed conjugate
-    of its q and v.  The columns hold half the cells' coefficients, so
-    allocating the factor brings the peak to about 1.5 factors.  A
-    caller that already holds ``tbt_grc(g)`` passes it as ``tables``: the
-    recursion is not run again, ``counter`` is not charged, the tables
-    are left as they are, and tables of another generator raise
-    ValueError.
+    recursion keeps only those n cells (:func:`tbt_grc`'s
+    ``factor_only``), so the memory stays O(n^2).  Before the n x n
+    factor is allocated, each cell is cut to its column by
+    :func:`_column` and dropped: a direct cell keeps p and vp, a mirrored
+    one becomes the reversed conjugate of its q and v.  The columns hold
+    half the cells' coefficients, so allocating the factor brings the
+    peak to about 1.5 factors.  A caller that already holds
+    ``tbt_grc(g)`` passes it as ``tables``: the recursion is not run
+    again, ``counter`` is not charged, the tables are left as they are,
+    and tables of another generator raise ValueError.
     """
     t = (tables if tables is not None
-         else tbt_grc(g, counter, keep=_factor_pairs(g)))
+         else tbt_grc(g, counter, factor_only=True))
     if not np.array_equal(t.g.c, g.c):  # c's shape fixes n1 and n2
         raise ValueError("tables were computed from another generator")
     sources = [_source(t, k % g.n1, g.n - 1 - k) for k in range(g.n)]

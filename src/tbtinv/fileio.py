@@ -5,8 +5,8 @@ non-blank character is ``#`` is a comment.  Complex values are written as
 ``re im`` pairs.  Floats are emitted in shortest round-trip form, so a
 write/read cycle is value-exact.
 
-generator file   line 1: ``n1 n2``; then n2 lines, line d holding the
-                 2*n1-1 values c(d, s) for s = -(n1-1) .. n1-1.
+generator file   line 1: positive ``n1 n2``; then n2 lines, line d holding
+                 the 2*n1-1 values c(d, s) for s = -(n1-1) .. n1-1.
 dense file       line 1: ``n``; then n rows of n ``re im`` pairs.
 factor file      line 1: ``n``; then n column lines ``k n-1 re im ...``
                  holding column k of the unit-lower-triangular factor on
@@ -33,10 +33,10 @@ def _row(values) -> str:
     return " ".join(map(repr, floats.tolist()))
 
 
-def _sized(text: str, what: str, head: str, rows) -> tuple:
-    """The sizes on the first data line, named by ``head``, and the data
-    lines after it, which must number ``rows(*sizes)``.  Blank and ``#``
-    lines are skipped."""
+def _sized(text: str, what: str, head: str, rows, least: int = 0) -> tuple:
+    """The sizes on the first data line, named by ``head`` and each at
+    least ``least``, and the data lines after it, which must number
+    ``rows(*sizes)``.  Blank and ``#`` lines are skipped."""
     lines = [line for line in map(str.strip, text.splitlines())
              if line and not line.startswith("#")]
     if not lines:
@@ -45,9 +45,9 @@ def _sized(text: str, what: str, head: str, rows) -> tuple:
         sizes = [int(part) for part in lines[0].split()]
     except ValueError:
         sizes = []
-    if len(sizes) != len(head.split()) or min(sizes) < 0:
+    if len(sizes) != len(head.split()) or min(sizes) < least:
         raise ValueError(f"{what} file: first line must be '{head}', "
-                         f"nonnegative integers")
+                         f"{'positive' if least else 'nonnegative'} integers")
     count = rows(*sizes)
     if len(lines) != 1 + count:
         raise ValueError(f"{what} file: expected {count} data lines, "
@@ -81,7 +81,7 @@ def format_generator(g: TbtGenerator) -> str:
 
 
 def parse_generator(text: str) -> TbtGenerator:
-    (n1, n2), lines = _sized(text, "generator", "n1 n2", lambda n1, n2: n2)
+    (n1, n2), lines = _sized(text, "generator", "n1 n2", lambda n1, n2: n2, 1)
     c = [_complex_row(line, 2 * n1 - 1, f"generator row {d}")
          for d, line in enumerate(lines)]
     return TbtGenerator(n1, n2, np.array(c))

@@ -117,9 +117,9 @@ class InverseFactor:
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=complex)
         diag = np.asarray(self.diag, dtype=float)
-        if diag.ndim != 1 or lower.shape != 2 * diag.shape:
-            raise ValueError("factor needs a square array and one diagonal "
-                             "entry per column")
+        if diag.ndim != 1 or lower.shape != 2 * diag.shape or not diag.size:
+            raise ValueError("factor needs a nonempty square array and one "
+                             "diagonal entry per column")
         n = diag.shape[0]
         if not np.all(np.isfinite(diag) & (diag > 0.0)):
             raise ValueError("factor diagonal must be finite and strictly "

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from tbtinv import TbtGenerator
@@ -20,6 +22,16 @@ def random_generator(n1, n2, seed):
     c[0, :mid] = np.conj(c[0, mid + 1:])[::-1]
     c[0, mid] = abs(c[0, mid]) + 1.0
     return TbtGenerator(n1, n2, c)
+
+
+def peak_bytes(fn, *args):
+    """tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def identity_generator(n1, n2):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from tbtinv import (
     unit_band,
 )
 from tbtinv.oracle import cells_deviation, entry_deviation, stack_cells
-from conftest import identity_generator, poison_column
+from conftest import identity_generator, peak_bytes, poison_column
 
 
 def loop_pairs(n1, n2):
@@ -361,15 +360,6 @@ def test_factorization_matches_oracle(n1, n2, seed):
     assert np.max(np.abs(fast.lower - ref.lower)) <= 1e-10
 
 
-def _peak_bytes(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_factorization_peak_is_a_few_factors():
     # The recursion keeps only the n source cells of the factor, whose p
     # and q together are the size of the n x n factor, next to two
@@ -383,7 +373,7 @@ def test_factorization_peak_is_a_few_factors():
     for n1, n2 in ((16, 16), (48, 4)):
         g = generate_pd_tbt(n1, n2, seed=15)
         tbt_factorization(g)
-        assert _peak_bytes(tbt_factorization, g) <= 2 * g.n ** 2 * 16
+        assert peak_bytes(tbt_factorization, g) <= 2 * g.n ** 2 * 16
 
 
 @settings(max_examples=40, deadline=None)
@@ -402,7 +392,10 @@ def test_factorization_dropping_cells_is_the_full_tables_factor(n1, n2, seed):
             == (full.mul, full.add, full.div))
 
 
-@pytest.mark.parametrize("n1,n2", [(3, 4), (4, 3), (1, 6), (6, 1), (1, 1)])
+# Every shape up to 8 x 8: the drop rule's edge cases are the diagonal
+# distance and n1 = 1 or n2 = 1.
+@pytest.mark.parametrize("n1,n2", [(n1, n2) for n1 in range(1, 9)
+                                   for n2 in range(1, 9)])
 def test_kept_tables_hold_exactly_the_factor_pairs(n1, n2):
     g = generate_pd_tbt(n1, n2, seed=n1 * n2)
     full = tbt_grc(g)
@@ -414,16 +407,14 @@ def test_kept_tables_hold_exactly_the_factor_pairs(n1, n2):
         pair = (k0, k0 + g.n - 1 - k)
         want.add(pair if full.is_stored(*pair)
                  else tuple(index_exchange(*pair, n1)))
-    keep = tbtinv.fast._factor_pairs(g)
-    assert keep == want and len(keep) == g.n
-    t = tbt_grc(g, keep=keep)
-    assert set(t.entries) == keep
-    for pair in keep:
+    assert len(want) == g.n
+    t = tbt_grc(g, factor_only=True)
+    assert set(t.entries) == want
+    for pair in want:
         assert t.entries[pair] == full.entries[pair]
-    for k, l in full.entries.keys() - keep:
+    for k, l in full.entries.keys() - want:
         with pytest.raises(InternalIndexError):
             fetch(t, k, l)
-    assert tbt_grc(g, keep=set()).entries == {}
 
 
 @pytest.mark.parametrize("n1,n2", [(16, 16), (1, 7), (7, 1)])

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,7 +19,7 @@ from tbtinv.fileio import (
     write_factor,
     write_generator,
 )
-from conftest import random_generator
+from conftest import peak_bytes, random_generator
 
 
 def test_generator_roundtrip_exact(tmp_path):
@@ -94,6 +92,10 @@ def test_generator_comments_and_errors():
         parse_generator("1 1\n1 x\n")
     with pytest.raises(ValueError, match="expected"):
         parse_generator("1000000000000000 1\n1 0\n")  # sizes the rows lack
+    # A zero size is rejected at the header, before any row is parsed.
+    for text in ("0 1\n1 0\n", "1 0\n"):
+        with pytest.raises(ValueError, match="first line"):
+            parse_generator(text)
 
 
 def test_dense_roundtrip(tmp_path):
@@ -139,6 +141,9 @@ def test_factor_errors():
         parse_factor("1\n0\n1.0\n")  # column line too short
     with pytest.raises(ValueError):
         parse_factor("-1\n")  # negative size
+    # No solver makes an empty factor, and its text could not be read back.
+    with pytest.raises(ValueError, match="nonempty"):
+        InverseFactor(np.zeros((0, 0)), np.zeros(0))
     # Column lines whose support is not [k, n-1], with a matching count.
     for columns in ("0 0 1 0\n1 1 1 0\n", "0 1 1 0 0 0\n0 0 1 0\n",
                     "1 1 1 0\n1 1 1 0\n"):
@@ -168,14 +173,12 @@ def test_factor_size_the_text_cannot_hold():
     n = 3000
     text = (f"{n}\n0 {n - 1} " + "1 0 " * n + "\n"
             + "".join(f"{k} {n - 1} 1 0\n" for k in range(1, n)) + "1\n")
-    tracemalloc.start()
-    try:
+
+    def parse():
         with pytest.raises(ValueError, match="characters"):
             parse_factor(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5e6
+
+    assert peak_bytes(parse) < 5e6
 
 
 # Signed zeros and subnormals are drawn often, not left to chance.
@@ -247,10 +250,4 @@ def test_write_factor_streams(tmp_path):
     # size of the text it writes (about 0.8 MB at n = 192).
     f = tbt_factorization(generate_pd_tbt(4, 48, seed=1))
     path = tmp_path / "f.txt"
-    tracemalloc.start()
-    try:
-        write_factor(f, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < path.stat().st_size
+    assert peak_bytes(write_factor, f, path) < path.stat().st_size
