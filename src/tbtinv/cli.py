@@ -10,9 +10,9 @@ anything.
 
 Exit status, the same for every subcommand: 0 pass, 1 tolerance failure
 (``verify`` only), 2 input not positive definite (including a singular
-prediction-error block), 3 I/O or usage error, 4 numerical breakdown in
-the recursion or a failed internal consistency check, 5 input beyond
-working precision (``verify`` without ``--tolerance`` only).  Every
+prediction-error block), 3 I/O, usage or allocation error, 4 numerical
+breakdown in the recursion or a failed internal consistency check, 5 input
+beyond working precision (``verify`` without ``--tolerance`` only).  Every
 status but 0 and 1 comes with a one-line message on standard error.
 """
 
@@ -31,7 +31,8 @@ from .fast import fetch_strip, tbt_factorization, tbt_grc
 from .instances import generate_pd_tbt
 from .oracle import build_factorization, cells_deviation, grc_full, \
     inverse_dense
-from .wwr import WwrState, normal_system, wwr_recurse, wwr_residual
+from .wwr import WwrState, frobenius_norm, normal_system, wwr_recurse, \
+    wwr_residual
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -111,8 +112,7 @@ def _wwr_residuals(g: TbtGenerator, final: WwrState,
     """Baseline normal-equation residual at the final order: absolute,
     and relative to max(|rhs|_F, 1).  ``r`` is the dense matrix of ``g``."""
     resid = wwr_residual(g, final, r)
-    _, rhs = normal_system(g, r)
-    return resid, resid / max(float(np.linalg.norm(rhs)), 1.0)
+    return resid, resid / max(frobenius_norm(normal_system(g, r)[1]), 1.0)
 
 
 class _UsageError(Exception):
@@ -254,7 +254,7 @@ def main(argv=None) -> int:
     except BeyondWorkingPrecision as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BEYOND_PRECISION
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

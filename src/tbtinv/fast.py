@@ -6,23 +6,20 @@ antidiagonal mirror have the same distance and carry the same
 information, related by conjugation and a support reversal, and a pair
 whose head lies beyond the first block row has the values of the pair
 whole blocks above it.  So the row of the stored pair that serves a pair
-of head k and distance w >= 1 depends only on k mod n1 and w mod n1: that
-n1 x n1 map, :func:`_source_map`, is the one place the storage rule is
-written, and :func:`_mirror_values` the one place the mirror formula is
-(:func:`_column` writes only its p and vp, the part a column reads).
+(k, k + w) depends only on k mod n1 and w mod n1, the diagonal w = 0
+included: that n1 x n1 map, :func:`_source_map`, is the one place the
+storage rule is written, and :func:`_mirror_values` the one place the
+mirror formula is (:func:`_column` writes only its p and vp).
 :func:`fetch` serves every pair from the stored half, and the recursion
 itself reads its predecessors through it; :func:`fetch_strip` serves
 every pair of one distance at once, reading each stored cell of that
 distance once; and :func:`tbt_factorization` has the recursion keep
-only the n stored cells its columns come from, one per distance, and
-reads them straight through :func:`_source`.  Every other cell is
-dropped once the next distance is done, and each kept cell is cut to
-the one polynomial its column reads before the n x n factor is
-allocated, so the factor's memory is O(n^2), about 1.5 times the
-factor.  The matrix is read exclusively through column slices built
-from the generator (:func:`~tbtinv.core.column_accessor`, under the
-accessor contract of :func:`~tbtinv.core.column_inner`), never through
-a dense copy, and the total work is O(n1^3 * n2^2) scalar operations.
+only the n stored cells its columns come from, one per distance, so
+its memory is O(n^2), about 1.5 times the factor.  The matrix is read
+exclusively through column slices built from the generator
+(:func:`~tbtinv.core.column_accessor`, under the accessor contract of
+:func:`~tbtinv.core.column_inner`), never through a dense copy, and the
+total work is O(n1^3 * n2^2) scalar operations.
 """
 
 import functools
@@ -47,9 +44,9 @@ from .oracle import GrcEntry, GrcStrip, InverseFactor, _frozen, \
 class CanonicalTables:
     """Stored half of the reflection tables for one TBT generator.
 
-    Keys are the diagonal pairs (k, k) for k < n1 plus every pair
-    (k, k + w), k < n1, that :func:`_source_map` maps to itself: of a pair
-    and its antidiagonal mirror, the one with the smaller row.
+    Keys are the pairs (k, k + w), k < n1, that :func:`_source_map` maps
+    to itself: of a pair and its antidiagonal mirror, the one with the
+    smaller row, so the diagonal pairs (k, k) with 2k < n1.
     :func:`fetch` serves every other pair from one of them.  Tables made
     by :func:`tbt_grc` with ``factor_only`` hold only the factor's n
     keys, and a pair served by a dropped one raises InternalIndexError.
@@ -65,7 +62,7 @@ class CanonicalTables:
 @functools.cache
 def _source_map(n1: int) -> tuple:
     """``src[w % n1][k0]`` is the row of the stored pair that serves the
-    pair (k0, k0 + w), for k0 < n1 and distance w >= 1.
+    pair (k0, k0 + w), for k0 < n1 and any distance w >= 0.
 
     Of a pair and its antidiagonal mirror, which keeps the distance, the
     one with the smaller row is stored; for k0 < n1 the mirror row depends
@@ -77,19 +74,12 @@ def _source_map(n1: int) -> tuple:
     return tuple(map(tuple, np.minimum(k0, mk).tolist()))
 
 
-def _stored_row(n1: int, k0: int, w: int) -> int:
-    """The row s of the stored pair (s, s + w) that serves (k0, k0 + w),
-    k0 < n1: the map's row, or k0 itself for a diagonal pair.  The pair
-    itself when s == k0, else its mirror.
-    """
-    return _source_map(n1)[w % n1][k0] if w else k0
-
-
 def _source(t: CanonicalTables, k0: int, w: int) -> tuple:
     """``(s, e)``: the row s of the stored pair that serves (k0, k0 + w),
-    k0 < n1, by :func:`_stored_row`, and its cell e.
+    k0 < n1, by :func:`_source_map`, and its cell e: the pair itself when
+    s == k0, else its mirror.
     """
-    s = _stored_row(t.g.n1, k0, w)
+    s = _source_map(t.g.n1)[w % t.g.n1][k0]
     e = t.entries.get((s, s + w))
     if e is None:
         raise InternalIndexError(f"pair ({k0}, {k0 + w}) has no stored "
@@ -114,15 +104,16 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
             factor_only: bool = False) -> CanonicalTables:
     """Run the half-table recursion over the generator.
 
-    The n1 stored diagonal pairs (k, k) hold the unit vector e_k as both
-    polynomials and c(0, 0) as both residuals.  The other canonical pairs
-    are filled by increasing distance w = l - k, the order of the dense
-    reference recursion: at each w, the rows k < n1 that
-    :func:`_source_map` maps to themselves.  Each step reads its two
-    predecessors, (k, l-1) and (k+1, l), through :func:`fetch`.  A mirror
-    or a block shift keeps the distance, so every predecessor is ready
-    when it is read.  Each step checks every value it produces, so numpy's
-    warnings about non-finite values are silenced for the whole loop.
+    At each distance w = l - k, the stored pairs are the (k, k + w),
+    k < n1, that :func:`_source_map` maps to themselves.  The diagonal
+    ones, like their mirrors, hold the unit vector e_k as both
+    polynomials and c(0, 0) as both residuals; the others are filled by
+    increasing w, the order of the dense reference recursion.  Each step
+    reads its two predecessors, (k, l-1) and (k+1, l), through
+    :func:`fetch`.  A mirror or a block shift keeps the distance, so every
+    predecessor is ready when it is read.  Each step checks every value it
+    produces, so numpy's warnings about non-finite values are silenced for
+    the whole loop.
 
     By default every stored cell is kept.  With ``factor_only``, every
     cell of distance w - 1 but the one that column n - w of the factor
@@ -135,18 +126,11 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
     m = column_accessor(g)
     c00 = g.c[0, n1 - 1].real
     t = CanonicalTables(g, {})
-
-    def release(w):
-        if factor_only:
-            s = _stored_row(n1, (n - 1 - w) % n1, w)
-            for k in range(n1):
-                if k != s:
-                    t.entries.pop((k, k + w), None)
-
-    for k in range(n1):
-        e_k = unit_band(n, k)
-        t.entries[(k, k)] = GrcEntry(0j, 0j, c00, c00, e_k, e_k)
     src = _source_map(n1)
+    for k, s in enumerate(src[0]):
+        if s == k:
+            e_k = unit_band(n, k)
+            t.entries[(k, k)] = GrcEntry(0j, 0j, c00, c00, e_k, e_k)
     with np.errstate(invalid="ignore", over="ignore"):
         for w in range(1, n):
             for k, s in enumerate(src[w % n1][:n - w]):
@@ -157,8 +141,11 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
                 below = fetch(t, k + 1, l)
                 t.entries[(k, l)] = grc_step(left.p, below.q, below.v,
                                              left.vp, m, k, l, counter)
-            release(w - 1)
-    release(n - 1)
+            if factor_only:  # drop distance w - 1 but column n - w's cell
+                s = src[(w - 1) % n1][(n - w) % n1]
+                for k in range(n1):
+                    if k != s:
+                        t.entries.pop((k, k + w - 1), None)
     return t
 
 
@@ -200,7 +187,7 @@ def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip:
     if not 0 <= w <= n - 1:
         raise IndexError(f"distance {w} outside a {n} x {n} table")
     r = min(n1, n - w)
-    src = _source_map(n1)[w % n1][:r] if w else range(r)
+    src = _source_map(n1)[w % n1][:r]
     # Every row the map names serves itself, so those rows are the cells.
     heads = [k for k, s in enumerate(src) if s == k]
     read = stack_cells([_source(t, k, w)[1] for k in heads], heads, w)

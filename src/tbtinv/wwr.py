@@ -164,4 +164,16 @@ def wwr_residual(g: TbtGenerator, final: WwrState,
         raise ValueError("state is not at the final order")
     big, rhs = normal_system(g, r)
     a_row = np.hstack(final.coeffs)
-    return float(np.linalg.norm(a_row @ big - rhs))
+    return frobenius_norm(a_row @ big - rhs)
+
+
+def frobenius_norm(x: np.ndarray) -> float:
+    """Frobenius norm of x, summed over x scaled by a power of two near
+    1 / max|x|, as unscaled squares overflow from about 1e154.  The
+    scaling is exact, so a norm in range keeps its bits."""
+    top = np.abs(x).max(initial=0.0)
+    if not np.isfinite(top):  # NaN, or an |x_ij| and so the norm past range
+        return float(top)
+    e = max(np.frexp(top)[1], -1023)  # 2.0 ** 1024 overflows
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -e)), e))

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import tbtinv.fast
 import tbtinv.wwr
 from tbtinv import BandVector, FactorizationMismatch, InternalIndexError, \
-    NumericalBreakdown, assemble_dense, fetch, gaussian_kernel, \
-    generate_pd_tbt, grc_full, index_exchange, tbt_grc
+    NumericalBreakdown, TbtGenerator, assemble_dense, fetch, \
+    gaussian_kernel, generate_pd_tbt, grc_full, index_exchange, tbt_grc
 from tbtinv import cli
 from tbtinv.cli import EXIT_BEYOND_PRECISION, EXIT_FAIL, EXIT_INTERNAL, \
     EXIT_NOT_PD, EXIT_PASS, EXIT_USAGE, main, run_verify
@@ -129,15 +129,21 @@ def test_wwr_breakdown_exits_4(tmp_path, capsys):
 def test_huge_pd_input_passes(tmp_path, capsys, command):
     # R = 1e300 I is positive definite however large its entries, and the
     # reference factorization's rounding bound must not overflow on it.
-    gen = tmp_path / "g.txt"
-    gen.write_text("2 2\n0 0 1e300 0 0 0\n0 0 0 0 0 0\n")
-    args = [command, "--input", str(gen)]
-    if command != "verify":
-        args += ["--output", str(tmp_path / "out.txt")]
-    if command == "invert":
-        args += ["--method", "oracle"]
-    assert main(args) == EXIT_PASS
-    assert capsys.readouterr().err == ""
+    # The scaled random instance has nonzero off-diagonal blocks, whose
+    # baseline residual norms overflow unless they are scaled too.
+    ident = tmp_path / "g.txt"
+    ident.write_text("2 2\n0 0 1e300 0 0 0\n0 0 0 0 0 0\n")
+    scaled = tmp_path / "s.txt"
+    write_generator(TbtGenerator(2, 3, generate_pd_tbt(2, 3, 1).c * 1e200),
+                    scaled)
+    for gen in (ident, scaled):
+        args = [command, "--input", str(gen)]
+        if command != "verify":
+            args += ["--output", str(tmp_path / "out.txt")]
+        if command == "invert":
+            args += ["--method", "oracle"]
+        assert main(args) == EXIT_PASS
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("error", [NumericalBreakdown, InternalIndexError,
@@ -320,6 +326,16 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--input", str(huge)]) == EXIT_USAGE
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_allocation_numpy_refuses_is_exit_3(tmp_path, capsys):
+    # numpy refuses a 568 PiB field at once, before touching any memory.
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--n1", "100000000", "--n2", "100000000",
+                 "--output", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    assert not out.exists()
 
 
 def test_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):

@@ -180,6 +180,7 @@ def test_band_vector_validation():
     with pytest.raises(ValueError):
         BandVector(4, 0, 0, np.array([np.inf]))
     v = BandVector(4, 1, 2, np.array([1.0, 2.0]))
+    assert v.width == 2 and BandVector(4, 3, 3, np.ones(1)).width == 1
     with pytest.raises(ValueError):
         v.coeff[0] = 5.0  # read-only after construction
 

@@ -14,7 +14,7 @@ from tbtinv import (
     wwr_residual,
 )
 from tbtinv.wwr import _matmul, _require_pd, _solve_right, block, flip_conj, \
-    normal_system
+    frobenius_norm, normal_system
 from conftest import identity_generator, random_generator
 
 
@@ -55,6 +55,21 @@ def test_base_case_single_step_solve():
     want = -r1 @ np.linalg.inv(r0)
     assert np.max(np.abs(states[-1].coeffs[0] - want)) <= 1e-12 * np.max(np.abs(r1))
     assert wwr_residual(g, states[-1]) <= 1e-12 * np.linalg.norm(r1)
+
+
+def test_frobenius_norm_scales_past_overflow():
+    # In range the power-of-two scaling keeps every bit of the plain norm;
+    # beyond it the squares would overflow (1e200) or underflow (1e-200),
+    # and a complex entry below 2 ** -1022 is scaled up without a NaN.
+    x = generate_pd_tbt(3, 4, seed=7).c
+    assert frobenius_norm(x) == np.linalg.norm(x)
+    for scale in (1e200, 1e-200):
+        assert frobenius_norm(x * scale) == \
+            pytest.approx(np.linalg.norm(x) * scale, rel=1e-15)
+    assert frobenius_norm(np.array([4e-317 + 3e-317j])) == \
+        pytest.approx(5e-317, rel=1e-6)
+    assert frobenius_norm(np.zeros((0, 3))) == 0.0
+    assert frobenius_norm(np.array([1.7e308, 1.7e308])) == np.inf
 
 
 @pytest.mark.parametrize("n1,n2,seed", [(2, 4, 3), (3, 3, 4), (4, 6, 5), (1, 5, 6)])
