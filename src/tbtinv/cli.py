@@ -4,9 +4,9 @@ Subcommands: ``gen`` (random PD instance), ``invert`` (fast or reference
 method), ``wwr`` (baseline recursion), ``opcount`` (cost-model sweep CSV)
 and ``verify`` (cross-check fast vs reference vs baseline on an
 instance).  Without ``--tolerance``, ``verify`` scales its tolerance by
-the conditioning of the input: max(1e-8, cond(R) * n * eps), and refuses
-an input with cond(R) * n * eps >= 1, on which no verdict would mean
-anything.
+the conditioning of the input: max(1e-8, cond(R) * n * eps), with cond
+taken on R scaled by a power of two, and refuses an input with
+cond(R) * n * eps >= 1, on which no verdict would mean anything.
 
 Exit status, the same for every subcommand: 0 pass, 1 tolerance failure
 (``verify`` only), 2 input not positive definite (including a singular
@@ -25,14 +25,13 @@ import numpy as np
 
 from . import costmodel, fileio
 from .core import FactorizationMismatch, InternalIndexError, \
-    NotPositiveDefinite, NumericalBreakdown, OpCounter, SingularP, \
-    TbtGenerator, assemble_dense
+    NotPositiveDefinite, NumericalBreakdown, OpCounter, TbtGenerator, \
+    assemble_dense, frobenius_norm, unit_scaled
 from .fast import fetch_strip, tbt_factorization, tbt_grc
 from .instances import generate_pd_tbt
 from .oracle import build_factorization, cells_deviation, grc_full, \
     inverse_dense
-from .wwr import WwrState, frobenius_norm, normal_system, wwr_recurse, \
-    wwr_residual
+from .wwr import WwrState, normal_system, wwr_recurse, wwr_residual
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -58,10 +57,9 @@ class VerifyReport:
 
     @property
     def passed(self) -> bool:
-        checks = [self.table_deviation, self.inverse_residual]
-        if self.wwr_relative_residual is not None:
-            checks.append(self.wwr_relative_residual)
-        return all(c <= self.tolerance for c in checks)
+        checks = (self.table_deviation, self.inverse_residual,
+                  self.wwr_relative_residual)
+        return all(c <= self.tolerance for c in checks if c is not None)
 
     def lines(self):
         yield f"fast-vs-reference table deviation: {self.table_deviation:.3e}"
@@ -81,16 +79,17 @@ def run_verify(g: TbtGenerator,
     :func:`~tbtinv.fast.fetch_strip` and compares each strip with the
     dense reference's (a stored cell off its support raises
     InternalIndexError), measures the materialized-inverse residual, and
-    (for n2 >= 2) the baseline's normal-equation residual.  Without a tolerance, every
-    check must hold to max(1e-8, cond(R) * n * eps), the accuracy a
-    backward-stable solver can promise on R; where that bound reaches 1,
-    the input is beyond working precision and
-    :class:`BeyondWorkingPrecision` is raised before any recursion runs.
+    (for n2 >= 2) the baseline's normal-equation residual.  Without a
+    tolerance, every check must hold to max(1e-8, cond(R) * n * eps), the
+    accuracy a backward-stable solver can promise on R (cond is taken on
+    :func:`~tbtinv.core.unit_scaled` R); at 1 or more, the input is beyond
+    working precision and :class:`BeyondWorkingPrecision` is raised first.
     """
     n = g.n
     r = assemble_dense(g)
     if tolerance is None:
-        scaled = float(np.linalg.cond(r)) * n * np.finfo(float).eps
+        cond = np.linalg.cond(unit_scaled(r)[0])
+        scaled = float(cond) * n * np.finfo(float).eps
         if not scaled < 1.0:
             raise BeyondWorkingPrecision(f"cond(R)*n*eps = {scaled:.3g} >= 1")
         tolerance = max(1e-8, scaled)
@@ -109,10 +108,13 @@ def run_verify(g: TbtGenerator,
 
 def _wwr_residuals(g: TbtGenerator, final: WwrState,
                    r: np.ndarray) -> tuple[float, float]:
-    """Baseline normal-equation residual at the final order: absolute,
-    and relative to max(|rhs|_F, 1).  ``r`` is the dense matrix of ``g``."""
+    """Baseline normal-equation residual at the final order: absolute, and
+    relative to max(|rhs|_F, 1), taken on rhs * 2**-e as |rhs|_F may pass
+    range.  ``r`` is the dense matrix of ``g``."""
     resid = wwr_residual(g, final, r)
-    return resid, resid / max(frobenius_norm(normal_system(g, r)[1]), 1.0)
+    rhs, e = unit_scaled(normal_system(g, r)[1])
+    rel = np.ldexp(resid, -e) / max(frobenius_norm(rhs), np.ldexp(1.0, -e))
+    return resid, float(rel)
 
 
 class _UsageError(Exception):
@@ -221,8 +223,7 @@ def cmd_opcount(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = fileio.read_generator(args.input)
     report = run_verify(g, args.tolerance)
-    for line in report.lines():
-        print(line)
+    print(*report.lines(), sep="\n")
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -244,7 +245,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except (NotPositiveDefinite, SingularP) as exc:
+    except NotPositiveDefinite as exc:
         print(f"not positive definite: {exc}", file=sys.stderr)
         return EXIT_NOT_PD
     except (NumericalBreakdown, InternalIndexError,

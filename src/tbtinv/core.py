@@ -17,36 +17,31 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NotPositiveDefinite(Exception):
-    """The input matrix (or one of its leading sections) is not PD.
-
-    ``pair`` identifies the (k, l) cell at which positivity failed.
-    """
+class _CellError(Exception):
+    """An error whose ``pair`` identifies the (k, l) cell at which it
+    happened (None where no cell applies)."""
 
     def __init__(self, message, pair=None):
         super().__init__(message)
         self.pair = pair
 
 
-class NumericalBreakdown(Exception):
+class NotPositiveDefinite(_CellError):
+    """The input matrix (or one of its leading sections) is not PD."""
+
+
+class NumericalBreakdown(_CellError):
     """A residual scalar underflowed, or a recursion value turned non-finite
-    in floating point.
-
-    ``pair`` identifies the (k, l) cell at which it happened.
-    """
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
+    in floating point."""
 
 
 class FactorizationMismatch(Exception):
     """A factor diagonal entry departs from the direct quadratic form.
 
     Raised when |F_k^H R F_k - d_k| exceeds the form's rounding bound
-    n * eps * |R|_F * |F_k|^2.  Up to cond(R) of about 4e14 that
-    indicates an implementation bug; nearer 1/eps it can be rounding
-    (see :func:`~tbtinv.oracle.build_factorization`).
+    n * eps * |R|_F * |F_k|^2 (:func:`frobenius_norm`).  Up to cond(R) of
+    about 4e14 that indicates an implementation bug; nearer 1/eps it can
+    be rounding (see :func:`~tbtinv.oracle.build_factorization`).
     """
 
 
@@ -54,7 +49,7 @@ class InternalIndexError(Exception):
     """An index reconstruction left its proven range; implementation bug."""
 
 
-class SingularP(Exception):
+class SingularP(NotPositiveDefinite):
     """The block prediction-error matrix is numerically singular."""
 
 
@@ -194,11 +189,28 @@ def validate_hermitian(a: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    scale = max(np.max(np.abs(a)), 1.0) if a.size else 1.0
-    if dev > 1e-12 * scale:
+    dev = np.abs(a - a.conj().T).max(initial=0.0)
+    if dev > 1e-12 * max(np.abs(a).max(initial=0.0), 1.0):
         raise ValueError(f"matrix is not Hermitian (deviation {dev:g})")
     return a
+
+
+def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """x * 2**-e and e, e the binary exponent of a finite max|x| but at least
+    -1023, as 2.0 ** 1024 overflows.  Exact for entries that stay normal."""
+    e = max(int(np.frexp(np.abs(x).max(initial=0.0))[1]), -1023)
+    return x * np.ldexp(1.0, -e), e
+
+
+@np.errstate(over="ignore")  # a norm past range is inf
+def frobenius_norm(x: np.ndarray) -> float:
+    """Frobenius norm of x, summed over :func:`unit_scaled` x, as unscaled
+    squares overflow from about 1e154.  A norm in range keeps its bits."""
+    top = np.abs(x).max(initial=0.0)
+    if not np.isfinite(top):  # NaN, or an |x_ij| and so the norm past range
+        return float(top)
+    scaled, e = unit_scaled(x)
+    return float(np.ldexp(np.linalg.norm(scaled), e))
 
 
 @dataclass(frozen=True, eq=False, slots=True)

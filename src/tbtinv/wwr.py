@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NotPositiveDefinite, NumericalBreakdown, OpCounter, \
-    SingularP, TbtGenerator, _lookup, assemble_dense
+    SingularP, TbtGenerator, _lookup, assemble_dense, frobenius_norm, \
+    unit_scaled
 
 # A smallest eigenvalue at or below this fraction of the block's largest
 # eigenvalue magnitude counts as singular.
@@ -74,27 +75,26 @@ def _require_pd(p: np.ndarray, order: int) -> None:
 
     A block with a non-finite entry raises NumericalBreakdown: its
     eigenvalues would compare false against either bound below.  The
-    block is Hermitian in exact arithmetic, so its Hermitian part, summed
-    from halves, is tested: a smallest eigenvalue at roundoff scale
+    block is Hermitian in exact arithmetic, so the Hermitian part of its
+    :func:`~tbtinv.core.unit_scaled` copy is tested, where no sum or
+    eigenvalue overflows: a smallest eigenvalue at roundoff scale
     (``PIVOT_TOL`` relative to the largest eigenvalue magnitude) means a
-    singular block, anything below that an indefinite input.  Neither the
-    halves nor that scale overflow on finite entries, as p + p^H and a
-    norm of entries above about 1e154 would.
+    singular block, anything below that an indefinite input.  Messages
+    give the eigenvalue unscaled.
     """
     if not np.isfinite(p).all():
         raise NumericalBreakdown(
             f"prediction-error block of order {order} is not finite")
-    eig = np.linalg.eigvalsh(0.5 * p + 0.5 * p.conj().T)
-    lam = eig[0]
+    s, e = unit_scaled(p)
+    eig = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
     tol = PIVOT_TOL * np.abs(eig).max()
-    if lam < -tol:
-        raise NotPositiveDefinite(
-            f"prediction-error block of order {order} is indefinite "
-            f"(smallest eigenvalue {lam:g})")
-    if lam <= tol:
-        raise SingularP(
-            f"prediction-error block of order {order} is singular "
-            f"(smallest eigenvalue {lam:g})")
+    if eig[0] <= tol:
+        error, kind = ((NotPositiveDefinite, "indefinite") if eig[0] < -tol
+                       else (SingularP, "singular"))
+        with np.errstate(over="ignore"):  # -inf if past range
+            lam = np.ldexp(eig[0], e)
+        raise error(f"prediction-error block of order {order} is {kind} "
+                    f"(smallest eigenvalue {lam:g})")
 
 
 def _matmul(a: np.ndarray, b: np.ndarray,
@@ -114,10 +114,9 @@ def wwr_recurse(g: TbtGenerator,
 
     Requires at least two block orders.  R_0 and every updated
     prediction-error block are checked (O(n1^3) each): an indefinite one
-    raises NotPositiveDefinite, a singular one SingularP; either means
-    the input is not positive definite.  A coefficient or block that
-    turns non-finite in floating point (a solve against a subnormal
-    block, say) raises NumericalBreakdown.
+    raises NotPositiveDefinite, a singular one its subclass SingularP.  A
+    coefficient or block that turns non-finite in floating point (a solve
+    against a subnormal block, say) raises NumericalBreakdown.
     """
     if g.n2 < 2:
         raise ValueError("the block recursion needs n2 >= 2")
@@ -165,15 +164,3 @@ def wwr_residual(g: TbtGenerator, final: WwrState,
     big, rhs = normal_system(g, r)
     a_row = np.hstack(final.coeffs)
     return frobenius_norm(a_row @ big - rhs)
-
-
-def frobenius_norm(x: np.ndarray) -> float:
-    """Frobenius norm of x, summed over x scaled by a power of two near
-    1 / max|x|, as unscaled squares overflow from about 1e154.  The
-    scaling is exact, so a norm in range keeps its bits."""
-    top = np.abs(x).max(initial=0.0)
-    if not np.isfinite(top):  # NaN, or an |x_ij| and so the norm past range
-        return float(top)
-    e = max(np.frexp(top)[1], -1023)  # 2.0 ** 1024 overflows
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(x * np.ldexp(1.0, -e)), e))

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 
-from tbtinv import TbtGenerator
+from tbtinv import TbtGenerator, generate_pd_tbt
 
 
 def random_hermitian_pd(n, seed, shift=1.0):
@@ -32,6 +32,13 @@ def peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def top_of_range(n1, n2, seed=1):
+    """A random PD instance scaled so that max|c| = 1.7e308, near the
+    largest float: n1 * max|c| and |R|_F are past range."""
+    c = generate_pd_tbt(n1, n2, seed).c
+    return TbtGenerator(n1, n2, c / np.abs(c).max() * 1.7e308)
 
 
 def identity_generator(n1, n2):

@@ -16,7 +16,7 @@ from tbtinv.cli import EXIT_BEYOND_PRECISION, EXIT_FAIL, EXIT_INTERNAL, \
 from tbtinv.fileio import read_dense, read_factor, read_generator, \
     write_generator
 from tbtinv.oracle import entry_deviation
-from conftest import identity_generator, poison_column
+from conftest import identity_generator, poison_column, top_of_range
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -365,6 +365,20 @@ def test_run_verify_identity():
     assert report.inverse_residual == 0.0
     assert report.wwr_relative_residual == 0.0
     assert report.passed
+
+
+def test_run_verify_passes_at_the_top_of_the_float_range():
+    # cond(R) is about 8 however R is scaled, so the default tolerance is
+    # 1e-8; unscaled, the SVD behind cond overflows at max|c| = 1.7e308.
+    # |rhs|_F is past range too, and the baseline's relative residual must
+    # not read 0 for it.
+    g = top_of_range(8, 8)
+    report = run_verify(g)
+    assert report.tolerance == 1e-8
+    assert report.passed
+    assert 0.0 < report.wwr_relative_residual < 1e-14
+    r = assemble_dense(g)
+    assert np.linalg.cond(r / np.abs(r).max()) < 100
 
 
 def test_run_verify_builds_dense_matrix_and_tables_once(monkeypatch):

@@ -11,6 +11,7 @@ from tbtinv import (
     column_accessor,
     column_inner,
     conj_band,
+    generate_pd_tbt,
     index_exchange,
     mod_op,
     reverse_support,
@@ -19,7 +20,7 @@ from tbtinv import (
     tbt_entry,
     unit_band,
 )
-from tbtinv.core import _band
+from tbtinv.core import _band, frobenius_norm, unit_scaled
 from tbtinv.wwr import block, normal_system
 from conftest import identity_generator, random_generator
 
@@ -276,3 +277,44 @@ def test_column_accessor_matches_dense(n1, n2, seed, data):
         k = (n2 - 1) * n1
         assert np.array_equal(big, r[:k, :k])
         assert np.array_equal(rhs, -r[:n1, n1:])
+
+
+def test_unit_scaled_is_exact_power_of_two():
+    x = generate_pd_tbt(3, 4, seed=7).c
+    for z in (x, x * 1e200, x * 1e-200, x / np.abs(x).max() * 1.7e308):
+        y, e = unit_scaled(z)
+        assert 0.5 <= np.abs(y).max() < 1.0
+        # Scaled back in two halves, as 2.0 ** 1024 overflows.
+        assert np.array_equal(y * 2.0 ** (e // 2) * 2.0 ** (e - e // 2), z)
+    # Below 2 ** -1022 the exponent is clamped, so 2 ** -e stays finite.
+    y, e = unit_scaled(np.array([4e-317 + 3e-317j]))
+    assert e == -1023
+    assert y[0] == complex(np.ldexp(4e-317, 1023), np.ldexp(3e-317, 1023))
+    y, e = unit_scaled(np.zeros((0, 3)))
+    assert e == 0 and y.shape == (0, 3)
+
+
+def test_frobenius_norm_scales_past_overflow():
+    # In range the power-of-two scaling keeps every bit of the plain norm;
+    # beyond it the squares would overflow (1e200) or underflow (1e-200),
+    # and a complex entry below 2 ** -1022 is scaled up without a NaN.
+    x = generate_pd_tbt(3, 4, seed=7).c
+    assert frobenius_norm(x) == np.linalg.norm(x)
+    for scale in (1e200, 1e-200):
+        assert frobenius_norm(x * scale) == \
+            pytest.approx(np.linalg.norm(x) * scale, rel=1e-15)
+    assert frobenius_norm(np.array([4e-317 + 3e-317j])) == \
+        pytest.approx(5e-317, rel=1e-6)
+    assert frobenius_norm(np.zeros((0, 3))) == 0.0
+    assert frobenius_norm(np.array([1.7e308, 1.7e308])) == np.inf
+
+
+@pytest.mark.parametrize("entry,want", [
+    (np.inf, np.inf), (-np.inf, np.inf), (np.nan, np.nan),
+    (complex(np.inf, 1.0), np.inf), (complex(1.0, -np.inf), np.inf)])
+def test_frobenius_norm_of_non_finite_entries(entry, want):
+    # A complex inf scaled by 2 ** 0 would turn 0 * inf into NaN (with an
+    # "invalid value" warning), so the largest magnitude is returned as is.
+    x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    x[1, 0] = entry
+    assert np.array_equal(frobenius_norm(x), want, equal_nan=True)

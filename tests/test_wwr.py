@@ -14,8 +14,8 @@ from tbtinv import (
     wwr_residual,
 )
 from tbtinv.wwr import _matmul, _require_pd, _solve_right, block, flip_conj, \
-    frobenius_norm, normal_system
-from conftest import identity_generator, random_generator
+    normal_system
+from conftest import identity_generator, random_generator, top_of_range
 
 
 def test_block_extraction():
@@ -55,21 +55,6 @@ def test_base_case_single_step_solve():
     want = -r1 @ np.linalg.inv(r0)
     assert np.max(np.abs(states[-1].coeffs[0] - want)) <= 1e-12 * np.max(np.abs(r1))
     assert wwr_residual(g, states[-1]) <= 1e-12 * np.linalg.norm(r1)
-
-
-def test_frobenius_norm_scales_past_overflow():
-    # In range the power-of-two scaling keeps every bit of the plain norm;
-    # beyond it the squares would overflow (1e200) or underflow (1e-200),
-    # and a complex entry below 2 ** -1022 is scaled up without a NaN.
-    x = generate_pd_tbt(3, 4, seed=7).c
-    assert frobenius_norm(x) == np.linalg.norm(x)
-    for scale in (1e200, 1e-200):
-        assert frobenius_norm(x * scale) == \
-            pytest.approx(np.linalg.norm(x) * scale, rel=1e-15)
-    assert frobenius_norm(np.array([4e-317 + 3e-317j])) == \
-        pytest.approx(5e-317, rel=1e-6)
-    assert frobenius_norm(np.zeros((0, 3))) == 0.0
-    assert frobenius_norm(np.array([1.7e308, 1.7e308])) == np.inf
 
 
 @pytest.mark.parametrize("n1,n2,seed", [(2, 4, 3), (3, 3, 4), (4, 6, 5), (1, 5, 6)])
@@ -151,7 +136,7 @@ def test_singular_prediction_error():
 def test_indefinite_prediction_error():
     # R = [[1, 1.5], [1.5, 1]] is indefinite: the updated block is -1.25.
     g = TbtGenerator(1, 2, np.array([[1.0], [1.5]]))
-    with pytest.raises(NotPositiveDefinite, match="order 1"):
+    with pytest.raises(NotPositiveDefinite, match="order 1 is indefinite"):
         wwr_recurse(g)
 
 
@@ -160,6 +145,40 @@ def test_singular_updated_prediction_error():
     g = TbtGenerator(1, 3, np.ones((3, 1)))
     with pytest.raises(SingularP, match="order 1"):
         wwr_recurse(g)
+
+
+def test_singular_block_is_not_positive_definite():
+    assert issubclass(SingularP, NotPositiveDefinite)
+    with pytest.raises(NotPositiveDefinite, match="order 2 is singular"):
+        _require_pd(np.ones((2, 2)), 2)
+
+
+@pytest.mark.parametrize("n1,n2", [(8, 8), (2, 3)])
+def test_pd_input_at_the_top_of_the_float_range(n1, n2):
+    # Here n1 * max|p| is past range, so the eigenvalues of the unscaled
+    # block and their tolerance would overflow: the PD test runs on the
+    # block scaled by a power of two.
+    g = top_of_range(n1, n2)
+    final = wwr_recurse(g)[-1]
+    rhs = normal_system(g)[1]
+    assert np.isfinite(final.coeffs).all()
+    assert wwr_residual(g, final) <= 1e-12 * np.abs(rhs).max()
+
+
+def test_indefinite_block_past_range_reports_its_eigenvalue():
+    # max|p| = 1.7e308 and smallest eigenvalue -3.4e308: indefinite, and
+    # the unscaled eigenvalue prints as -inf with no overflow warning.
+    a = -1.7e308
+    p = np.array([[0.0, a, a], [a, 0.0, a], [a, a, 0.0]])
+    with pytest.raises(NotPositiveDefinite) as info:
+        _require_pd(p, 0)
+    assert str(info.value) == ("prediction-error block of order 0 is "
+                               "indefinite (smallest eigenvalue -inf)")
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"indefinite \(smallest eigenvalue -1\.7e\+308\)"):
+        _require_pd(p[:2, :2], 0)
+    with pytest.raises(SingularP, match=r"singular \(smallest eigenvalue 0\)"):
+        _require_pd(np.full((2, 2), 1.7e308), 0)
 
 
 def test_subnormal_block_breaks_down():
