@@ -39,9 +39,9 @@ class FactorizationMismatch(Exception):
     """A factor diagonal entry departs from the direct quadratic form.
 
     Raised when |F_k^H R F_k - d_k| exceeds the form's rounding bound
-    n * eps * |R|_F * |F_k|^2 (:func:`frobenius_norm`).  Up to cond(R) of
-    about 4e14 that indicates an implementation bug; nearer 1/eps it can
-    be rounding (see :func:`~tbtinv.oracle.build_factorization`).
+    n * eps * |R|_F * |F_k|^2.  Up to cond(R) of about 4e14 that
+    indicates an implementation bug; nearer 1/eps it can be rounding
+    (see :func:`~tbtinv.oracle.build_factorization`).
     """
 
 
@@ -189,8 +189,9 @@ def validate_hermitian(a: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
-    dev = np.abs(a - a.conj().T).max(initial=0.0)
-    if dev > 1e-12 * max(np.abs(a).max(initial=0.0), 1.0):
+    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    scale = max(np.max(np.abs(a)), 1.0) if a.size else 1.0
+    if dev > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian (deviation {dev:g})")
     return a
 

@@ -33,7 +33,7 @@ from .core import (
     OpCounter,
     _band,
     column_inner,
-    frobenius_norm,
+    unit_scaled,
     validate_hermitian,
 )
 
@@ -376,18 +376,20 @@ def build_factorization(t: CoeffTables) -> InverseFactor:
 
     Each diagonal entry d_k is confirmed against the directly evaluated
     quadratic form F_k^H R F_k, to within that form's rounding bound
-    n * eps * |R|_F * |F_k|^2, |R|_F by :func:`~tbtinv.core.frobenius_norm`.
-    The bound has no term for the error d_k itself carries.  It holds up
-    to cond(R) of about 4e14: on Gaussian kernels that far the gap stays
-    below 2% of it, and there a mismatch means the recursion is broken.
-    Nearer cond(R) = 1/eps, rounding alone can exceed it (a gap of 2.4e-12
-    against a bound of 2.27e-12 was seen on a 16 x 4 Gaussian kernel of
-    cond 6.8e15), so a mismatch there need not be an implementation bug.
+    n * eps * |R|_F * |F_k|^2, its first factor taken on
+    :func:`~tbtinv.core.unit_scaled` R so that it stays finite where |R|_F
+    passes range.  The bound has no term for the error d_k itself carries.
+    It holds up to cond(R) of about 4e14: on Gaussian kernels that far the
+    gap stays below 2% of it, and there a mismatch means the recursion is
+    broken.  Nearer cond(R) = 1/eps, rounding alone can exceed it (a gap
+    of 2.4e-12 against a bound of 2.27e-12 was seen on a 16 x 4 Gaussian
+    kernel of cond 6.8e15), so a mismatch there need not be a bug.
     """
     f = assemble_factor((s.p[k], s.vp[k])
                         for k, s in enumerate(reversed(t.strips)))
     R = t.matrix
-    rounding = t.n * np.finfo(float).eps * frobenius_norm(R)
+    scaled, e = unit_scaled(R)
+    rounding = np.ldexp(np.linalg.norm(scaled) * t.n * np.finfo(float).eps, e)
     for k in range(t.n):
         col = f.lower[k:, k]
         direct = np.vdot(col, R[k:, k:] @ col)

@@ -29,7 +29,7 @@ from tbtinv import (
     unit_band,
 )
 from tbtinv.oracle import _TINY, entry_deviation
-from conftest import random_hermitian_pd
+from conftest import random_hermitian_pd, top_of_range
 
 
 def _dense_accessor(r):
@@ -467,12 +467,14 @@ def test_gaussian_sweep_never_reports_an_internal_error(n1, n2):
 
 
 def test_build_factorization_rejects_corrupted_diagonal():
-    t = grc_full(assemble_dense(generate_pd_tbt(8, 8, seed=3)))
-    n = t.n
-    for k in (0, n // 2, n - 1):
-        with pytest.raises(FactorizationMismatch,
-                           match=f"diagonal entry {k}:"):
-            build_factorization(_scaled_vp(t, k, n - 1, 1 + 1e-8))
+    # top_of_range's |R|_F is past range; a bound taken on it would be inf.
+    for g in (generate_pd_tbt(8, 8, seed=3), top_of_range(8, 8)):
+        t = grc_full(assemble_dense(g))
+        n = t.n
+        for k in (0, n // 2, n - 1):
+            with pytest.raises(FactorizationMismatch,
+                               match=f"diagonal entry {k}:"):
+                build_factorization(_scaled_vp(t, k, n - 1, 1 + 1e-8))
 
 
 def cellwise_tables(r):
