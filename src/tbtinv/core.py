@@ -183,16 +183,19 @@ def column_accessor(g: TbtGenerator):
 
 
 def validate_hermitian(a: np.ndarray) -> np.ndarray:
-    """Check that ``a`` is square Hermitian within 1e-12 (relative)."""
+    """Check that ``a`` is square Hermitian within 1e-12 relative to
+    max|a|, the deviation taken on :func:`unit_scaled` a, so the test is
+    the same at every scale."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    scale = max(np.max(np.abs(a)), 1.0) if a.size else 1.0
-    if dev > 1e-12 * scale:
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:g})")
+    scaled, e = unit_scaled(a)
+    dev = np.abs(scaled - scaled.conj().T).max(initial=0.0)
+    if dev > 1e-12:
+        raise ValueError(f"matrix is not Hermitian (deviation "
+                         f"{np.ldexp(dev, e):g})")
     return a
 
 

@@ -16,14 +16,20 @@ factor file      line 1: ``n``; then n column lines ``k n-1 re im ...``
 The first line's integers fix how many data lines must follow, and a
 header whose sizes the text cannot hold is rejected before anything is
 allocated.  Each format's text is made by one line generator: ``format_*``
-joins its lines, and ``write_*`` writes them one at a time, so a file's
-whole text is never held in memory.
+joins its lines, and ``write_*`` writes them one at a time.  Each format
+is read by one streamed reader, :func:`_sized`, in two passes that hold
+one line at a time: a counting pass over the header, the data lines and
+the characters, then the parsing pass.  ``read_*`` runs it over the file
+and ``parse_*`` over the text, so a file's whole text is never held in
+memory, and the factor is allocated 64-byte aligned.
 """
+
+import contextlib
 
 import numpy as np
 
 from .core import TbtGenerator
-from .oracle import InverseFactor
+from .oracle import InverseFactor, _aligned_zeros
 
 
 def _row(values) -> str:
@@ -33,41 +39,118 @@ def _row(values) -> str:
     return " ".join(map(repr, floats.tolist()))
 
 
-def _sized(text: str, what: str, head: str, rows, least: int = 0) -> tuple:
-    """The sizes on the first data line, named by ``head`` and each at
-    least ``least``, and the data lines after it, which must number
-    ``rows(*sizes)``.  Blank and ``#`` lines are skipped."""
-    lines = [line for line in map(str.strip, text.splitlines())
-             if line and not line.startswith("#")]
-    if not lines:
+def _text_lines(text: str):
+    """The lines of ``text`` cut after each ``\\n``, as a file read in text
+    mode yields them, without a copy of the whole text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _data_lines(raw, chars=None):
+    """The stripped data lines of the raw lines ``raw``, each re-split by
+    ``str.splitlines``, so ``\\x0c``, ``\\x85`` and the like end a line as
+    they do in the whole text; blank and ``#`` lines are dropped.  Given
+    ``chars``, ``chars[0]`` counts the raw lines' characters."""
+    for line in raw:
+        if chars is not None:
+            chars[0] += len(line)
+        for part in line.splitlines():
+            part = part.strip()
+            if part and not part.startswith("#"):
+                yield part
+
+
+def _sized(source, what: str, head: str, rows, least: int = 0) -> tuple:
+    """``(sizes, chars, lines)`` of the text that ``source()`` opens as a
+    context of raw lines, read in two passes that hold one line at a time.
+
+    The counting pass takes the header, counts the data lines after it
+    and the text's characters.  The header's sizes, named by ``head`` and
+    each at least ``least``, must be followed by ``rows(*sizes)`` data
+    lines.  ``lines`` is the parsing pass: a generator of those data
+    lines, which raises ValueError if the text changed in between.
+    """
+    chars = [0]
+    try:
+        with source() as raw:
+            lines = _data_lines(raw, chars)
+            header = next(lines, None)
+            found = sum(1 for _ in lines)
+    except UnicodeDecodeError:
+        # A file read by lines reports the undecodable byte's position
+        # within its 8 KB chunk; decoding the whole file reports it within
+        # the file.
+        with source() as raw:
+            raw.read()
+        raise
+    if header is None:
         raise ValueError(f"{what} file: empty")
     try:
-        sizes = [int(part) for part in lines[0].split()]
+        sizes = [int(part) for part in header.split()]
     except ValueError:
         sizes = []
     if len(sizes) != len(head.split()) or min(sizes) < least:
         raise ValueError(f"{what} file: first line must be '{head}', "
                          f"{'positive' if least else 'nonnegative'} integers")
     count = rows(*sizes)
-    if len(lines) != 1 + count:
+    if found != count:
         raise ValueError(f"{what} file: expected {count} data lines, "
-                         f"got {len(lines) - 1}")
-    return sizes, lines[1:]
+                         f"got {found}")
+    return sizes, chars[0], _parsing_pass(source, what, count)
 
 
-def _floats(line: str, count: int, what: str) -> list:
-    parts = line.split()
+def _parsing_pass(source, what: str, count: int):
+    got = 0
+    with source() as raw:
+        lines = _data_lines(raw)
+        next(lines, None)  # the header
+        for got, line in enumerate(lines, 1):
+            if got > count:
+                break
+            yield line
+    if got != count:
+        raise ValueError(f"{what} file: changed while it was read")
+
+
+# The sources :func:`_sized` reads: each call opens the text afresh as a
+# context of raw lines, a file's or the ones :func:`_text_lines` cuts.
+def _opened(path):
+    return lambda: open(path)
+
+
+def _held(text: str):
+    return lambda: contextlib.nullcontext(_text_lines(text))
+
+
+def _floats(parts: list, count: int, what: str) -> list:
+    """The ``count`` floats of a line's whitespace-separated ``parts``."""
     if len(parts) != count:
         raise ValueError(f"{what}: expected {count} values, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        return list(map(float, parts))
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _complex_row(line: str, count: int, what: str) -> np.ndarray:
-    """Read ``count`` complex values written as ``re im`` pairs."""
-    return np.array(_floats(line, 2 * count, what)).view(complex)
+def _complex_rows(lines, chars: int, rows: int, count: int,
+                  what: str) -> np.ndarray:
+    """The ``rows`` x ``count`` array whose row i is data line i's
+    ``count`` complex values, written as ``re im`` pairs and named
+    ``what i`` in errors.  It is allocated before the first row only if
+    the text's ``chars`` characters can hold it: a row's 2*count values
+    and separators take 4*count - 1, so in a shorter text some row is
+    short and raises before anything is stored.
+    """
+    fits = chars >= rows * (4 * count - 1)
+    out = np.empty((rows, 2 * count)) if fits else None
+    for i, line in enumerate(lines):
+        values = _floats(line.split(), 2 * count, f"{what} {i}")
+        if out is not None:
+            out[i] = values
+    return out.view(complex)
 
 
 def _generator_lines(g: TbtGenerator):
@@ -80,11 +163,15 @@ def format_generator(g: TbtGenerator) -> str:
     return "".join(_generator_lines(g))
 
 
+def _generator(source) -> TbtGenerator:
+    (n1, n2), chars, lines = _sized(source, "generator", "n1 n2",
+                                    lambda n1, n2: n2, 1)
+    return TbtGenerator(n1, n2, _complex_rows(lines, chars, n2, 2 * n1 - 1,
+                                              "generator row"))
+
+
 def parse_generator(text: str) -> TbtGenerator:
-    (n1, n2), lines = _sized(text, "generator", "n1 n2", lambda n1, n2: n2, 1)
-    c = [_complex_row(line, 2 * n1 - 1, f"generator row {d}")
-         for d, line in enumerate(lines)]
-    return TbtGenerator(n1, n2, np.array(c))
+    return _generator(_held(text))
 
 
 def write_generator(g: TbtGenerator, path) -> None:
@@ -93,8 +180,7 @@ def write_generator(g: TbtGenerator, path) -> None:
 
 
 def read_generator(path) -> TbtGenerator:
-    with open(path) as fh:
-        return parse_generator(fh.read())
+    return _generator(_opened(path))
 
 
 def _dense_lines(a: np.ndarray):
@@ -108,11 +194,13 @@ def format_dense(a: np.ndarray) -> str:
     return "".join(_dense_lines(a))
 
 
+def _dense(source) -> np.ndarray:
+    (n,), chars, lines = _sized(source, "dense", "n", lambda n: n)
+    return _complex_rows(lines, chars, n, n, "dense row")
+
+
 def parse_dense(text: str) -> np.ndarray:
-    (n,), lines = _sized(text, "dense", "n", lambda n: n)
-    rows = [_complex_row(line, n, f"dense row {i}")
-            for i, line in enumerate(lines)]
-    return np.array(rows, dtype=complex).reshape(n, n)
+    return _dense(_held(text))
 
 
 def write_dense(a: np.ndarray, path) -> None:
@@ -121,8 +209,7 @@ def write_dense(a: np.ndarray, path) -> None:
 
 
 def read_dense(path) -> np.ndarray:
-    with open(path) as fh:
-        return parse_dense(fh.read())
+    return _dense(_opened(path))
 
 
 def _factor_lines(f: InverseFactor):
@@ -137,10 +224,13 @@ def format_factor(f: InverseFactor) -> str:
     return "".join(_factor_lines(f))
 
 
-def parse_factor(text: str) -> InverseFactor:
-    (n,), lines = _sized(text, "factor", "n", lambda n: n + 1)
-    for k in range(n):
-        parts = lines[k].split()
+def _factor(source) -> InverseFactor:
+    (n,), chars, lines = _sized(source, "factor", "n", lambda n: n + 1)
+    for k, line in enumerate(lines):
+        if k == n:
+            diag = _floats(line.split(), n, "factor diagonal")
+            continue
+        parts = line.split()
         try:
             bounds = (int(parts[0]), int(parts[1]))
         except (IndexError, ValueError):
@@ -149,18 +239,21 @@ def parse_factor(text: str) -> InverseFactor:
         if bounds != (k, n - 1):
             raise ValueError(f"factor column {k} must be supported on "
                              f"[{k}, {n - 1}]")
-        column = _complex_row(" ".join(parts[2:]), n - k,
-                              f"factor column {k}")
+        column = np.array(_floats(parts[2:], 2 * (n - k),
+                                  f"factor column {k}")).view(complex)
         # Allocated once column 0 has shown its n values and the text can
         # hold the n(n+1) column floats, each a character and a separator.
         if k == 0:
-            if len(text) < 2 * n * (n + 1):
+            if chars < 2 * n * (n + 1):
                 raise ValueError(f"factor file: {n} columns need at least "
                                  f"{2 * n * (n + 1)} characters")
-            lower = np.zeros((n, n), dtype=complex)
+            lower = _aligned_zeros(n)
         lower[k:, k] = column
-    diag = _floats(lines[n], n, "factor diagonal")
     return InverseFactor(lower, np.asarray(diag, dtype=float))
+
+
+def parse_factor(text: str) -> InverseFactor:
+    return _factor(_held(text))
 
 
 def write_factor(f: InverseFactor, path) -> None:
@@ -169,5 +262,4 @@ def write_factor(f: InverseFactor, path) -> None:
 
 
 def read_factor(path) -> InverseFactor:
-    with open(path) as fh:
-        return parse_factor(fh.read())
+    return _factor(_opened(path))

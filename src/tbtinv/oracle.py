@@ -44,6 +44,10 @@ PD_TOL = 1e3 * np.finfo(float).eps
 
 _TINY = 1e-300
 
+# Rows per block of the factor's checks and of the dense inverse, so
+# neither holds an n x n temporary.
+_BLOCK = 64
+
 
 class GrcEntry(NamedTuple):
     """One table cell: reflection pair, residual scalars, polynomial pair."""
@@ -128,10 +132,8 @@ class InverseFactor:
         heads = np.flatnonzero(np.abs(np.diagonal(lower) - 1.0) > 1e-12)
         if heads.size:
             raise ValueError(f"column {heads[0]} must have unit head")
-        # In row blocks, so no check allocates an n x n temporary next to
-        # the factor.
-        for i in range(0, n, 64):
-            rows = lower[i:i + 64]
+        for i in range(0, n, _BLOCK):
+            rows = lower[i:i + _BLOCK]
             above = np.flatnonzero(np.triu(rows != 0, i + 1).any(axis=1))
             if above.size:
                 raise ValueError(f"factor row {i + above[0]} must be zero "
@@ -351,6 +353,16 @@ def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
                              for e in (got, want)))
 
 
+def _aligned_zeros(n: int) -> np.ndarray:
+    """A zeroed n x n complex array whose data starts on a 64-byte
+    boundary: a view of a zeroed byte buffer 64 bytes longer.  A factor
+    held so is read by the same vector loads wherever the heap puts it."""
+    size = n * n * np.dtype(complex).itemsize
+    buf = np.zeros(size + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    return buf[start:start + size].view(complex).reshape(n, n)
+
+
 def assemble_factor(cells) -> InverseFactor:
     """Inverse factor from the full-width cells (k, n-1), k = 0 .. n-1,
     read once, in order, as ``(p, vp)`` pairs, p the coefficients on
@@ -362,7 +374,7 @@ def assemble_factor(cells) -> InverseFactor:
     for k, (p, vp) in enumerate(cells):
         if k == 0:
             n = len(p)
-            lower, diag = np.zeros((n, n), dtype=complex), np.empty(n)
+            lower, diag = _aligned_zeros(n), np.empty(n)
         if len(p) != n - k:
             raise InternalIndexError(
                 f"full-width cell {k} has {len(p)} coefficients, not {n - k}")
@@ -416,10 +428,34 @@ def apply_inverse(f: InverseFactor, b) -> np.ndarray:
 
 
 def inverse_dense(f: InverseFactor) -> np.ndarray:
-    """Materialize the full inverse H H^H, H = F diag^-1/2, as one matrix
-    product; exactly Hermitian after symmetrizing."""
-    h = f.lower / np.sqrt(f.diag)
-    x = h @ h.conj().T
-    x += x.conj().T
-    x *= 0.5
+    """Materialize the full inverse F diag^-1 F^H, exactly Hermitian.
+
+    It is computed straight into its output by blocks of ``_BLOCK`` rows,
+    only the lower block triangle: rows i..j-1 up to column j-1 are the
+    conjugate of conj(F[i:j, :j]) diag^-1 F[:j, :j]^T, which reads F only
+    up to the block's last column (its upper triangle is zero), about half
+    the multiplies of the whole product.  Each block is mirrored above the
+    diagonal, and the diagonal block is made exactly Hermitian in place as
+    (blk + blk^H) / 2.  So besides the output only one block row is held.
+    An inverse past the float range, a block not finite, raises
+    NumericalBreakdown; numpy's warnings about it are silenced.
+    """
+    n = f.n
+    x = np.empty((n, n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n, _BLOCK):
+            j = min(i + _BLOCK, n)
+            rows = np.conj(f.lower[i:j, :j])
+            rows /= f.diag[:j]
+            out = x[i:j, :j]  # the block's conjugate, until conjugated
+            np.matmul(rows, f.lower[:j, :j].T, out=out)
+            del rows  # before the diagonal block's temporaries
+            x[:i, i:j] = out[:, :i].T
+            np.conjugate(out, out=out)
+            blk = out[:, i:]
+            blk += blk.conj().T
+            blk *= 0.5
+            if not np.isfinite(out).all():
+                raise NumericalBreakdown(
+                    f"inverse rows {i}..{j - 1} are past the float range")
     return x

@@ -535,3 +535,18 @@ def test_invert_residual_underflow_exits_4(tmp_path, capsys, method):
     err = capsys.readouterr().err
     assert err == ("NumericalBreakdown: residual scalar underflow at "
                    "pair (0, 1)\n")
+
+
+@pytest.mark.parametrize("args", [["invert"], ["invert", "--method", "oracle"],
+                                  ["verify"]])
+def test_inverse_past_the_float_range_exits_4(tmp_path, capsys, args):
+    # PD, with smallest eigenvalue 1e-309: the factor is finite but the
+    # inverse's entries pass the float range.
+    gen = tmp_path / "g.txt"
+    gen.write_text("1 2\n1e-299 0\n9.999999999e-300 0\n")
+    if args[0] == "invert":
+        args = args + ["--output", str(tmp_path / "x.txt")]
+    assert main(args + ["--input", str(gen)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == ("NumericalBreakdown: inverse rows 0..1 are past the "
+                   "float range\n")

@@ -20,7 +20,8 @@ from tbtinv import (
     tbt_entry,
     unit_band,
 )
-from tbtinv.core import _band, frobenius_norm, unit_scaled
+from tbtinv.core import _band, frobenius_norm, unit_scaled, \
+    validate_hermitian
 from tbtinv.wwr import block, normal_system
 from conftest import identity_generator, random_generator
 
@@ -318,3 +319,13 @@ def test_frobenius_norm_of_non_finite_entries(entry, want):
     x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     x[1, 0] = entry
     assert np.array_equal(frobenius_norm(x), want, equal_nan=True)
+
+
+def test_validate_hermitian_is_relative_at_every_scale():
+    # A deviation as large as the entries is not Hermitian below scale 1
+    # too; an absolute bound of 1e-12 let this one through.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_hermitian(np.array([[2e-200, 1e-200], [0, 2e-200]]))
+    r = assemble_dense(generate_pd_tbt(3, 3, seed=4))
+    for scale in (1e-300, 1.0, 1e300):
+        assert np.array_equal(validate_hermitian(r * scale), r * scale)

@@ -29,7 +29,7 @@ from tbtinv import (
     unit_band,
 )
 from tbtinv.oracle import _TINY, entry_deviation
-from conftest import random_hermitian_pd, top_of_range
+from conftest import peak_bytes, random_hermitian_pd, top_of_range
 
 
 def _dense_accessor(r):
@@ -392,6 +392,52 @@ def test_inverse_matches_textbook_elimination(n):
     want = np.linalg.inv(r)
     rel = np.linalg.norm(x - want) / np.linalg.norm(want)
     assert rel <= 1e-8
+
+
+def _random_factor(n, seed):
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                    -1)
+    np.fill_diagonal(lower, 1.0)
+    return InverseFactor(lower, rng.uniform(0.5, 2.0, size=n))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 192])
+def test_inverse_dense_blocks_agree_with_the_whole_product(n):
+    # Block edges fall inside, on and just past a 64-row block.
+    f = _random_factor(n, seed=n)
+    x = inverse_dense(f)
+    assert np.array_equal(x, x.conj().T)
+    want = f.lower @ np.diag(1.0 / f.diag) @ f.lower.conj().T
+    rel = np.max(np.abs(x - want)) / np.max(np.abs(want))
+    assert rel <= 4 * n * np.finfo(float).eps
+
+
+def test_inverse_dense_holds_one_block_row_besides_its_output():
+    # At n = 192 the peak reads 1.56 outputs: one 64 x 192 block row and
+    # numpy's buffers for it.  The whole product with its conjugate copies
+    # read 3.2.
+    f = tbt_factorization(generate_pd_tbt(4, 48, seed=1))
+    inverse_dense(f)
+    assert peak_bytes(inverse_dense, f) <= 2 * f.n ** 2 * 16
+
+
+def test_inverse_dense_past_range_is_breakdown():
+    # R has smallest eigenvalue 1e-309, so the inverse's entries pass the
+    # float range; numpy's overflow warnings would fail this test.
+    g = TbtGenerator(1, 2, [[1e-299], [9.999999999e-300]])
+    for f in (tbt_factorization(g),
+              build_factorization(grc_full(assemble_dense(g)))):
+        with pytest.raises(NumericalBreakdown, match="past the float range"):
+            inverse_dense(f)
+
+
+def test_solver_factors_are_64_byte_aligned():
+    for n1, n2 in ((1, 1), (1, 3), (2, 3), (3, 3), (5, 2), (4, 48)):
+        g = generate_pd_tbt(n1, n2, seed=3)
+        for f in (tbt_factorization(g),
+                  build_factorization(grc_full(assemble_dense(g)))):
+            assert f.lower.ctypes.data % 64 == 0
 
 
 def test_not_positive_definite_indefinite():
