@@ -15,16 +15,15 @@ factor file      line 1: ``n``; then n column lines ``k n-1 re im ...``
 
 The first line's integers fix how many data lines must follow, and a
 header whose sizes the text cannot hold is rejected before anything is
-allocated.  Each format's text is made by one line generator: ``format_*``
-joins its lines, and ``write_*`` writes them one at a time.  Each format
-is read by one streamed reader, :func:`_sized`, in two passes that hold
-one line at a time: a counting pass over the header, the data lines and
-the characters, then the parsing pass.  ``read_*`` runs it over the file
-and ``parse_*`` over the text, so a file's whole text is never held in
-memory, and the factor is allocated 64-byte aligned.
+allocated.  Each format's lines come from one generator, which
+``format_*`` joins and ``write_*`` writes one at a time.  :func:`_sized`
+reads them in two passes that hold one line at a time, counting the
+header, data lines and characters, then parsing: ``parse_*`` over the
+text, ``read_*`` over the file, opened once and rewound for each pass.  A
+pipe is read whole and parsed as a text, so its memory is its text.
 """
 
-import contextlib
+import itertools
 
 import numpy as np
 
@@ -64,8 +63,8 @@ def _data_lines(raw, chars=None):
 
 
 def _sized(source, what: str, head: str, rows, least: int = 0) -> tuple:
-    """``(sizes, chars, lines)`` of the text that ``source()`` opens as a
-    context of raw lines, read in two passes that hold one line at a time.
+    """``(sizes, chars, lines)`` of the text whose raw lines ``source()``
+    returns afresh for each of two passes that hold one line at a time.
 
     The counting pass takes the header, counts the data lines after it
     and the text's characters.  The header's sizes, named by ``head`` and
@@ -74,18 +73,9 @@ def _sized(source, what: str, head: str, rows, least: int = 0) -> tuple:
     lines, which raises ValueError if the text changed in between.
     """
     chars = [0]
-    try:
-        with source() as raw:
-            lines = _data_lines(raw, chars)
-            header = next(lines, None)
-            found = sum(1 for _ in lines)
-    except UnicodeDecodeError:
-        # A file read by lines reports the undecodable byte's position
-        # within its 8 KB chunk; decoding the whole file reports it within
-        # the file.
-        with source() as raw:
-            raw.read()
-        raise
+    lines = _data_lines(source(), chars)
+    header = next(lines, None)
+    found = sum(1 for _ in lines)
     if header is None:
         raise ValueError(f"{what} file: empty")
     try:
@@ -104,25 +94,34 @@ def _sized(source, what: str, head: str, rows, least: int = 0) -> tuple:
 
 def _parsing_pass(source, what: str, count: int):
     got = 0
-    with source() as raw:
-        lines = _data_lines(raw)
-        next(lines, None)  # the header
-        for got, line in enumerate(lines, 1):
-            if got > count:
-                break
-            yield line
+    lines = _data_lines(source())
+    next(lines, None)  # the header
+    for got, line in enumerate(lines, 1):
+        if got > count:
+            break
+        yield line
     if got != count:
         raise ValueError(f"{what} file: changed while it was read")
 
 
-# The sources :func:`_sized` reads: each call opens the text afresh as a
-# context of raw lines, a file's or the ones :func:`_text_lines` cuts.
-def _opened(path):
-    return lambda: open(path)
+def _from_file(path, read):
+    """``read(source)`` of the file at ``path``, opened once and rewound by
+    ``source()`` for each pass; a pipe is read whole, as ``parse_*`` read."""
+    with open(path) as fh:
+        if not fh.seekable():
+            text = fh.read()
+            return read(lambda: _text_lines(text))
 
-
-def _held(text: str):
-    return lambda: contextlib.nullcontext(_text_lines(text))
+        def source():
+            fh.seek(0)
+            return fh
+        try:
+            return read(source)
+        except UnicodeDecodeError:
+            # Placed within the file, not its 8 KB chunk as read by lines.
+            fh.seek(0)
+            fh.read()
+            raise
 
 
 def _floats(parts: list, count: int, what: str) -> list:
@@ -171,7 +170,7 @@ def _generator(source) -> TbtGenerator:
 
 
 def parse_generator(text: str) -> TbtGenerator:
-    return _generator(_held(text))
+    return _generator(lambda: _text_lines(text))
 
 
 def write_generator(g: TbtGenerator, path) -> None:
@@ -180,14 +179,14 @@ def write_generator(g: TbtGenerator, path) -> None:
 
 
 def read_generator(path) -> TbtGenerator:
-    return _generator(_opened(path))
+    return _from_file(path, _generator)
 
 
 def _dense_lines(a: np.ndarray):
     a = np.asarray(a, dtype=complex)
-    yield f"{a.shape[0]}\n"
-    for row in a:
-        yield _row(row) + "\n"
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"dense matrix must be square, got {a.shape}")
+    return itertools.chain([f"{len(a)}\n"], (_row(row) + "\n" for row in a))
 
 
 def format_dense(a: np.ndarray) -> str:
@@ -200,16 +199,17 @@ def _dense(source) -> np.ndarray:
 
 
 def parse_dense(text: str) -> np.ndarray:
-    return _dense(_held(text))
+    return _dense(lambda: _text_lines(text))
 
 
 def write_dense(a: np.ndarray, path) -> None:
+    lines = _dense_lines(a)
     with open(path, "w") as fh:
-        fh.writelines(_dense_lines(a))
+        fh.writelines(lines)
 
 
 def read_dense(path) -> np.ndarray:
-    return _dense(_opened(path))
+    return _from_file(path, _dense)
 
 
 def _factor_lines(f: InverseFactor):
@@ -253,7 +253,7 @@ def _factor(source) -> InverseFactor:
 
 
 def parse_factor(text: str) -> InverseFactor:
-    return _factor(_held(text))
+    return _factor(lambda: _text_lines(text))
 
 
 def write_factor(f: InverseFactor, path) -> None:
@@ -262,4 +262,4 @@ def write_factor(f: InverseFactor, path) -> None:
 
 
 def read_factor(path) -> InverseFactor:
-    return _factor(_opened(path))
+    return _from_file(path, _factor)

@@ -1,3 +1,4 @@
+import os
 import re
 import weakref
 
@@ -13,8 +14,8 @@ from tbtinv import BandVector, FactorizationMismatch, InternalIndexError, \
 from tbtinv import cli
 from tbtinv.cli import EXIT_BEYOND_PRECISION, EXIT_FAIL, EXIT_INTERNAL, \
     EXIT_NOT_PD, EXIT_PASS, EXIT_USAGE, main, run_verify
-from tbtinv.fileio import read_dense, read_factor, read_generator, \
-    write_generator
+from tbtinv.fileio import format_generator, read_dense, read_factor, \
+    read_generator, write_generator
 from tbtinv.oracle import entry_deviation
 from conftest import identity_generator, poison_column, top_of_range
 
@@ -240,6 +241,21 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert main(["verify", "--input", str(gen),
                  "--tolerance", "1e-300"]) == EXIT_FAIL
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                    reason="no /dev/fd to name a pipe by")
+def test_verify_reads_a_pipe(capsys):
+    # Piped input cannot be rewound for the reader's second pass; it is
+    # read whole, as `cat g.txt | tbtinv verify --input /dev/stdin` does.
+    r, w = os.pipe()
+    try:
+        os.write(w, format_generator(generate_pd_tbt(3, 3, seed=11)).encode())
+        os.close(w)
+        assert main(["verify", "--input", f"/dev/fd/{r}"]) == EXIT_PASS
+    finally:
+        os.close(r)
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_verify_default_tolerance_scales_with_conditioning(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import locale
+import os
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ def test_dense_errors():
         parse_dense("1\n1 0 3 0\n")
     with pytest.raises(ValueError, match="dense row 0"):
         parse_dense("100000\n" + "1 0\n" * 100000)  # size the rows lack
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2), ()])
+def test_dense_writers_refuse_a_matrix_that_is_not_square(shape, tmp_path):
+    # A 2 x 3 array once wrote a file parse_dense rejects, and a vector
+    # wrote n rows of one value each.
+    a = np.zeros(shape)
+    with pytest.raises(ValueError, match="square"):
+        format_dense(a)
+    path = tmp_path / "a.txt"
+    with pytest.raises(ValueError, match="square"):
+        write_dense(a, path)
+    assert not path.exists()
 
 
 def test_factor_roundtrip(tmp_path):
@@ -311,15 +325,76 @@ def test_undecodable_byte_is_placed_within_the_file(tmp_path):
 
 
 def test_file_changed_between_the_passes():
-    from tbtinv.fileio import _generator, _held
+    from tbtinv.fileio import _generator, _text_lines
 
     texts = iter(["1 2\n1 0\n0 0\n", "1 2\n1 0\n"])
-
-    def source():
-        return _held(next(texts))()
-
     with pytest.raises(ValueError, match="changed while it was read"):
-        _generator(source)
+        _generator(lambda: _text_lines(next(texts)))
+
+
+# One value of each format, for the readers' file and pipe tests.
+SAMPLES = {"generator": generate_pd_tbt(3, 4, seed=5),
+           "dense": assemble_dense(generate_pd_tbt(2, 3, seed=6)),
+           "factor": tbt_factorization(generate_pd_tbt(3, 2, seed=7))}
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP)
+def test_each_reader_opens_a_regular_file_once(name, tmp_path, monkeypatch):
+    import tbtinv.fileio
+
+    _, _, _, write, read, values = ROUNDTRIP[name]
+    path = tmp_path / "x.txt"
+    write(SAMPLES[name], path)
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(tbtinv.fileio, "open", counting_open, raising=False)
+    back = read(path)
+    assert len(opened) == 1
+    for got, want in zip(values(back), values(SAMPLES[name])):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _read_piped(read, data: bytes):
+    """``read`` of ``/dev/fd/N`` for the read end N of a pipe that holds
+    ``data`` (small enough for the pipe's buffer) and then its end."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"),
+                                  reason="no /dev/fd to name a pipe by")
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("name", ROUNDTRIP)
+def test_each_reader_reads_a_pipe(name):
+    # A pipe cannot be rewound for the second pass; it is read whole.
+    _, fmt, _, _, read, values = ROUNDTRIP[name]
+    x = SAMPLES[name]
+    back = _read_piped(read, ("# piped\n" + fmt(x)).encode())
+    for got, want in zip(values(back), values(x)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@needs_dev_fd
+@pytest.mark.skipif(locale.getpreferredencoding(False).lower()
+                    not in ("utf-8", "utf8"),
+                    reason="files are read in the locale's encoding")
+def test_undecodable_byte_in_a_pipe_is_placed_within_the_text():
+    data = bytearray(b"1 1\n" + b"1 0 " * 6000 + b"\n")
+    data[20000] = 0xFF
+    for read in (read_generator, read_dense, read_factor):
+        with pytest.raises(UnicodeDecodeError, match="position 20000:"):
+            _read_piped(read, bytes(data))
 
 
 def test_write_factor_streams(tmp_path):
