@@ -79,7 +79,8 @@ def run_verify(g: TbtGenerator,
     Reads the fast tables one distance at a time through
     :func:`~tbtinv.fast.fetch_strip` and compares each strip with the
     dense reference's (a stored cell off its support raises
-    InternalIndexError), measures the materialized-inverse residual, and
+    InternalIndexError), dropping each reference strip once it is
+    compared, measures the materialized-inverse residual, and
     (for n2 >= 2) the baseline's normal-equation residual.  Without a
     tolerance, every check must hold to max(1e-8, cond(R) * n * eps), the
     accuracy a backward-stable solver can promise on R (cond is taken on
@@ -93,11 +94,10 @@ def run_verify(g: TbtGenerator,
         if not scaled < 1.0:
             raise BeyondWorkingPrecision(f"cond(R)*n*eps = {scaled:.3g} >= 1")
         tolerance = max(1e-8, scaled)
-    reference = grc_full(r)
+    strips = grc_full(r).strips[::-1]  # popped as they are compared
     tables = tbt_grc(g)
-    dev = max(cells_deviation(fetch_strip(tables, w), reference.strips[w])
+    dev = max(cells_deviation(fetch_strip(tables, w), strips.pop())
               for w in range(n))
-    del reference  # the later checks read only the fast tables
     inverse = inverse_dense(tbt_factorization(g, tables=tables))
     resid = float(np.linalg.norm(r @ inverse - np.eye(n)) / np.sqrt(n))
     wwr_rel = None

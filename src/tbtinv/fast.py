@@ -9,14 +9,15 @@ whole blocks above it.  So the row of the stored pair that serves a pair
 (k, k + w) depends only on k mod n1 and w mod n1, the diagonal w = 0
 included: that n1 x n1 map, :func:`_source_map`, is the one place the
 storage rule is written, and :func:`_mirror_values` the one place the
-mirror formula is (:func:`_column` writes only its p and vp).
-:func:`fetch` serves every pair from the stored half, and the recursion
-itself reads its predecessors through it; :func:`fetch_strip` serves
-every pair of one distance at once, reading each stored cell of that
-distance once; and :func:`tbt_factorization` has the recursion keep
-only the n stored cells its columns come from, one per distance, so
-its memory is O(n^2), about 1.5 times the factor.  The matrix is read
-exclusively through column slices built from the generator
+mirror formula is (:func:`tbt_grc` writes only its p and vp to the
+factor).  :func:`fetch` serves every pair from the stored half, and the
+recursion itself reads its predecessors through it; :func:`fetch_strip`
+serves every pair of one distance at once, reading each stored cell of
+that distance once.  The recursion writes each column of the inverse
+factor as soon as its distance is complete, and for
+:func:`tbt_factorization` keeps no distance but the last, so its memory
+is O(n^2), about 1.3 times the factor.  The matrix is read exclusively
+through column slices built from the generator
 (:func:`~tbtinv.core.column_accessor`, under the accessor contract of
 :func:`~tbtinv.core.column_inner`), never through a dense copy, and the
 total work is O(n1^3 * n2^2) scalar operations.
@@ -37,7 +38,7 @@ from .core import (
     unit_band,
 )
 from .oracle import GrcEntry, GrcStrip, InverseFactor, _frozen, \
-    assemble_factor, grc_step, stack_cells
+    _aligned_zeros, grc_step, stack_cells, write_column
 
 
 @dataclass
@@ -48,12 +49,15 @@ class CanonicalTables:
     to itself: of a pair and its antidiagonal mirror, the one with the
     smaller row, so the diagonal pairs (k, k) with 2k < n1.
     :func:`fetch` serves every other pair from one of them.  Tables made
-    by :func:`tbt_grc` with ``factor_only`` hold only the factor's n
-    keys, and a pair served by a dropped one raises InternalIndexError.
+    by :func:`tbt_grc` with ``factor_only`` hold only the last distance's
+    one cell (0, n-1), and a pair served by a dropped one raises
+    InternalIndexError.  ``factor`` is the inverse factor :func:`tbt_grc`
+    wrote as the recursion went; tables built otherwise hold None.
     """
 
     g: TbtGenerator
     entries: dict
+    factor: InverseFactor | None = None
 
     def is_stored(self, k: int, l: int) -> bool:
         return (k, l) in self.entries
@@ -115,37 +119,50 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
     produces, so numpy's warnings about non-finite values are silenced for
     the whole loop.
 
-    By default every stored cell is kept.  With ``factor_only``, every
-    cell of distance w - 1 but the one that column n - w of the factor
-    reads is dropped once distance w is done, as no later step reads it:
-    the tables hold exactly the factor's n cells, one per distance, and
-    the memory is that of two distances and those cells.  :func:`fetch`
-    of a pair served by a dropped cell raises InternalIndexError.
+    Column c = n-1-w of the inverse factor is the full-width cell
+    (c, n-1), so it is complete with distance w: once that distance is
+    done, :func:`~tbtinv.oracle.write_column` writes it from the cell
+    :func:`_source` serves it from, the p and vp of a direct cell or
+    those :func:`_mirror_values` gives a mirrored one.  The factor is
+    returned as the tables' ``factor``.
+
+    By default every stored cell is kept.  With ``factor_only``, the
+    whole of distance w - 1 is dropped once distance w is done, as no
+    later step or column reads it: the tables end holding only the last
+    distance's cell (0, n-1), and the memory is that of the factor and
+    two distances.  :func:`fetch` of a pair served by a dropped cell
+    raises InternalIndexError.
     """
     n1, n = g.n1, g.n
     m = column_accessor(g)
     c00 = g.c[0, n1 - 1].real
     t = CanonicalTables(g, {})
+    lower, diag = _aligned_zeros(n), np.empty(n)
     src = _source_map(n1)
-    for k, s in enumerate(src[0]):
-        if s == k:
-            e_k = unit_band(n, k)
-            t.entries[(k, k)] = GrcEntry(0j, 0j, c00, c00, e_k, e_k)
     with np.errstate(invalid="ignore", over="ignore"):
-        for w in range(1, n):
+        for w in range(n):
             for k, s in enumerate(src[w % n1][:n - w]):
                 if s != k:
                     continue
                 l = k + w
+                if w == 0:
+                    e_k = unit_band(n, k)
+                    t.entries[(k, k)] = GrcEntry(0j, 0j, c00, c00, e_k, e_k)
+                    continue
                 left = fetch(t, k, l - 1)
                 below = fetch(t, k + 1, l)
                 t.entries[(k, l)] = grc_step(left.p, below.q, below.v,
                                              left.vp, m, k, l, counter)
-            if factor_only:  # drop distance w - 1 but column n - w's cell
-                s = src[(w - 1) % n1][(n - w) % n1]
+            c = n - 1 - w
+            s, e = _source(t, c % n1, w)
+            if s == c % n1:
+                write_column(lower, diag, c, e.p.coeff, e.vp)
+            else:
+                write_column(lower, diag, c, np.conj(e.q.coeff[::-1]), e.v)
+            if factor_only:  # no later step reads distance w - 1
                 for k in range(n1):
-                    if k != s:
-                        t.entries.pop((k, k + w - 1), None)
+                    t.entries.pop((k, k + w - 1), None)
+    t.factor = InverseFactor(lower, diag)
     return t
 
 
@@ -205,36 +222,18 @@ def tbt_factorization(g: TbtGenerator, counter: OpCounter | None = None, *,
     """Inverse factor of the TBT matrix from the half-table recursion.
 
     Matches the factor the dense reference recursion produces, but never
-    assembles the matrix.  Column k is the full-width cell (k, n-1), which
-    :func:`_source` serves from one stored cell, one per distance.  The
-    recursion keeps only those n cells (:func:`tbt_grc`'s
-    ``factor_only``), so the memory stays O(n^2).  Before the n x n
-    factor is allocated, each cell is cut to its column by
-    :func:`_column` and dropped: a direct cell keeps p and vp, a mirrored
-    one becomes the reversed conjugate of its q and v.  The columns hold
-    half the cells' coefficients, so allocating the factor brings the
-    peak to about 1.5 factors.  A caller that already holds
-    ``tbt_grc(g)`` passes it as ``tables``: the recursion is not run
-    again, ``counter`` is not charged, the tables are left as they are,
-    and tables of another generator raise ValueError.
+    assembles the matrix: it is the ``factor`` that :func:`tbt_grc`
+    writes column by column, run with ``factor_only``, so the memory is
+    the factor and two distances of cells, about 1.3 factors.  A caller
+    that already holds ``tbt_grc(g)`` passes it as ``tables``: the
+    recursion is not run again, ``counter`` is not charged, the tables
+    are left as they are, and tables of another generator, or tables
+    that hold no factor, raise ValueError.
     """
     t = (tables if tables is not None
          else tbt_grc(g, counter, factor_only=True))
     if not np.array_equal(t.g.c, g.c):  # c's shape fixes n1 and n2
         raise ValueError("tables were computed from another generator")
-    sources = [_source(t, k % g.n1, g.n - 1 - k) for k in range(g.n)]
-    del t
-    # Popping drops each cell once its column is made, before the factor
-    # is allocated, and each column once the factor holds it.
-    columns = [_column(*sources.pop(), k % g.n1)
-               for k in reversed(range(g.n))]
-    return assemble_factor(columns.pop() for _ in range(g.n))
-
-
-def _column(s: int, e: GrcEntry, k0: int) -> tuple:
-    """``(p, vp)`` of a full-width cell whose head is k0 modulo n1, from
-    the stored cell e of row s that :func:`_source` serves it from.  A
-    mirrored cell gives the reversed conjugate of its q and its residual
-    v, the p and vp of :func:`_mirror_values`; nothing else of e is read.
-    """
-    return (e.p.coeff, e.vp) if s == k0 else (np.conj(e.q.coeff[::-1]), e.v)
+    if t.factor is None:
+        raise ValueError("tables hold no factor")
+    return t.factor

@@ -363,24 +363,21 @@ def _aligned_zeros(n: int) -> np.ndarray:
     return buf[start:start + size].view(complex).reshape(n, n)
 
 
-def assemble_factor(cells) -> InverseFactor:
-    """Inverse factor from the full-width cells (k, n-1), k = 0 .. n-1,
-    read once, in order, as ``(p, vp)`` pairs, p the coefficients on
-    [k, n-1]; the first fixes n.  Column k is the conjugate of the
-    full-width forward polynomial p, which makes both the inverse product
-    F diag^-1 F^H and the diagonality of F^H R F hold literally; the
-    diagonal holds the head residuals.
+def write_column(lower: np.ndarray, diag: np.ndarray, k: int, p,
+                 vp: float) -> None:
+    """Column k of the inverse factor from the full-width cell (k, n-1):
+    the conjugate of its forward polynomial p, the coefficients on
+    [k, n-1], which makes both the inverse product F diag^-1 F^H and the
+    diagonality of F^H R F hold literally, and its head residual vp as
+    ``diag[k]``.  A p of another length is an index bug:
+    InternalIndexError.
     """
-    for k, (p, vp) in enumerate(cells):
-        if k == 0:
-            n = len(p)
-            lower, diag = _aligned_zeros(n), np.empty(n)
-        if len(p) != n - k:
-            raise InternalIndexError(
-                f"full-width cell {k} has {len(p)} coefficients, not {n - k}")
-        np.conj(p, out=lower[k:, k])
-        diag[k] = vp
-    return InverseFactor(lower, diag)
+    n = len(diag)
+    if len(p) != n - k:
+        raise InternalIndexError(
+            f"full-width cell {k} has {len(p)} coefficients, not {n - k}")
+    np.conj(p, out=lower[k:, k])
+    diag[k] = vp
 
 
 def build_factorization(t: CoeffTables) -> InverseFactor:
@@ -397,8 +394,10 @@ def build_factorization(t: CoeffTables) -> InverseFactor:
     of 2.4e-12 against a bound of 2.27e-12 was seen on a 16 x 4 Gaussian
     kernel of cond 6.8e15), so a mismatch there need not be a bug.
     """
-    f = assemble_factor((s.p[k], s.vp[k])
-                        for k, s in enumerate(reversed(t.strips)))
+    lower, diag = _aligned_zeros(t.n), np.empty(t.n)
+    for k, s in enumerate(reversed(t.strips)):
+        write_column(lower, diag, k, s.p[k], s.vp[k])
+    f = InverseFactor(lower, diag)
     R = t.matrix
     scaled, e = unit_scaled(R)
     rounding = np.ldexp(np.linalg.norm(scaled) * t.n * np.finfo(float).eps, e)

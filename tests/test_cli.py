@@ -436,6 +436,29 @@ def test_run_verify_releases_reference_before_the_factor(monkeypatch):
     assert len(reference) == 1
 
 
+def test_run_verify_drops_each_reference_strip_once_compared(monkeypatch):
+    # The fast tables now hold the factor during the comparison, so the
+    # reference may hold no strip it has compared.
+    grc_full, deviation = cli.grc_full, cli.cells_deviation
+    arrays = []
+
+    def kept(*args, **kwargs):
+        t = grc_full(*args, **kwargs)
+        arrays.extend([weakref.ref(x) for x in s] for s in t.strips)
+        return t
+
+    def checked(got, want):
+        w = want.p.shape[1] - 1
+        assert w == 0 or all(x() is None for x in arrays[w - 1]), \
+            f"strip {w - 1} outlives its comparison"
+        return deviation(got, want)
+
+    monkeypatch.setattr(cli, "grc_full", kept)
+    monkeypatch.setattr(cli, "cells_deviation", checked)
+    assert run_verify(generate_pd_tbt(3, 3, seed=4)).passed
+    assert len(arrays) == 9
+
+
 def test_run_verify_single_block():
     report = run_verify(generate_pd_tbt(3, 1, seed=5), tolerance=1e-8)
     assert report.wwr_relative_residual is None
@@ -520,9 +543,9 @@ def test_widened_stored_support_is_internal_error(monkeypatch):
 @pytest.mark.parametrize("pair", [(1, 3), (0, 2)])
 def test_verify_narrowed_stored_cell_exits_4(tmp_path, capsys, monkeypatch,
                                              pair):
-    # One coefficient off a stored p: (1, 3) is read only by the strip
-    # view, (0, 2) also by the factor as full-width cell 3.  Both are an
-    # index error, with one line on stderr.
+    # One coefficient off a stored p, after the recursion is done: (1, 3)
+    # serves no factor column, (0, 2) served column 3 as it was written.
+    # The strip view reads both: an index error, one line on stderr.
     gen = tmp_path / "g.txt"
     write_generator(generate_pd_tbt(3, 2, seed=8), gen)
     real = cli.tbt_grc

@@ -363,19 +363,27 @@ def test_factorization_matches_oracle(n1, n2, seed):
 
 
 def test_factorization_peak_is_a_few_factors():
-    # The recursion keeps only the n source cells of the factor, whose p
-    # and q together are the size of the n x n factor, next to two
-    # distances of cells.  Each cell is cut to the one polynomial its
-    # column reads, half a factor for all n, before the factor is
-    # allocated.  The peak reads 1.54 factors at 16 x 16 and 1.69 at
-    # 48 x 4, where the recursion's two distances set it; keeping both
-    # polynomials until the factor took its column read 2.15 and 2.20,
-    # and holding the whole half-table 9.4 and 24.  The first call is
-    # left out: it also allocates one-time caches.
+    # The recursion writes each column of the factor as its distance
+    # completes and keeps no distance but the last, so the factor sits
+    # next to two distances of cells.  The peak reads 1.27 factors at
+    # 16 x 16 and 1.89 at 48 x 4, where two 48-row distances set it;
+    # keeping one source cell per distance and cutting each to its column
+    # before allocating the factor read 1.54 and 1.68, keeping both
+    # polynomials until the factor took its column 2.15 and 2.20, and
+    # holding the whole half-table 9.4 and 24.  The first call is left
+    # out: it also allocates one-time caches.
     for n1, n2 in ((16, 16), (48, 4)):
         g = generate_pd_tbt(n1, n2, seed=15)
         tbt_factorization(g)
         assert peak_bytes(tbt_factorization, g) <= 2 * g.n ** 2 * 16
+
+
+def test_factorization_peak_at_16x16_is_the_factor_and_two_distances():
+    # 1.27 factors; keeping one source cell per distance until the
+    # recursion ended read 1.54.
+    g = generate_pd_tbt(16, 16, seed=15)
+    tbt_factorization(g)
+    assert peak_bytes(tbt_factorization, g) <= 1.35 * g.n ** 2 * 16
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,22 +407,15 @@ def test_factorization_dropping_cells_is_the_full_tables_factor(n1, n2, seed):
 @pytest.mark.parametrize("n1,n2", [(n1, n2) for n1 in range(1, 9)
                                    for n2 in range(1, 9)])
 def test_kept_tables_hold_exactly_the_factor_pairs(n1, n2):
+    # The factor is written as each distance completes, so only the last
+    # distance's one cell is left.
     g = generate_pd_tbt(n1, n2, seed=n1 * n2)
     full = tbt_grc(g)
-    # The stored pair of each column (k, n-1), found from the full tables:
-    # its block-shifted pair if stored, else that pair's mirror.
-    want = set()
-    for k in range(g.n):
-        k0 = k % n1
-        pair = (k0, k0 + g.n - 1 - k)
-        want.add(pair if full.is_stored(*pair)
-                 else tuple(index_exchange(*pair, n1)))
-    assert len(want) == g.n
+    last = (0, g.n - 1)
     t = tbt_grc(g, factor_only=True)
-    assert set(t.entries) == want
-    for pair in want:
-        assert t.entries[pair] == full.entries[pair]
-    for k, l in full.entries.keys() - want:
+    assert set(t.entries) == {last}
+    assert t.entries[last] == full.entries[last]
+    for k, l in full.entries.keys() - {last}:
         with pytest.raises(InternalIndexError):
             fetch(t, k, l)
 
@@ -453,21 +454,30 @@ def test_factorization_leaves_the_callers_tables_intact(n1, n2):
     assert [fetch(t, k, l) for k in range(g.n) for l in range(k, g.n)] == want
 
 
-def test_factorization_source_cell_of_wrong_length():
-    # The source cell of every column, stored or mirrored, in turn, but
-    # the last, whose one coefficient cannot be cut.
+def test_factorization_source_cell_of_wrong_length(monkeypatch):
+    # The step that makes the source cell of a column, read directly or
+    # through its mirror, returns it one coefficient short; the column is
+    # written before any later step reads the cell.
     g = generate_pd_tbt(3, 4, seed=18)
-    t = tbt_grc(g)
-    n = g.n
-    for k in range(n - 1):
-        w = n - 1 - k
-        s, e = tbtinv.fast._source(t, k % g.n1, w)
-        p, q = (BandVector(n, b.lo, b.hi - 1, b.coeff[:-1])
-                for b in (e.p, e.q))
-        bad = CanonicalTables(g, {**t.entries,
-                                  (s, s + w): e._replace(p=p, q=q)})
+    n, step = g.n, tbtinv.fast.grc_step
+    direct = set()
+    for w in range(1, n):
+        k0 = (n - 1 - w) % g.n1
+        s = tbtinv.fast._source_map(g.n1)[w % g.n1][k0]
+        direct.add(s == k0)
+
+        def short(*args):
+            e = step(*args)
+            if args[5:7] != (s, s + w):
+                return e
+            p, q = (BandVector(n, b.lo, b.hi - 1, b.coeff[:-1])
+                    for b in (e.p, e.q))
+            return e._replace(p=p, q=q)
+
+        monkeypatch.setattr(tbtinv.fast, "grc_step", short)
         with pytest.raises(InternalIndexError, match="full-width cell"):
-            tbt_factorization(g, tables=bad)
+            tbt_factorization(g)
+    assert direct == {True, False}
 
 
 def test_factorization_rejects_tables_of_another_generator():
