@@ -187,34 +187,47 @@ def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
     return GrcEntry(a, ap, v, vp, _band(n, k, l, p), _band(n, k, l, q))
 
 
+@functools.cache
+def _strip_plan(n1: int, w0: int, r: int) -> tuple:
+    """``(heads, first)``: the gather plan of a distance w with
+    w mod n1 = w0 and r = min(n1, n - w) block rows, which is all the plan
+    depends on.  It is at most n1 long, and every distance with
+    n - w >= n1 and the same w0 shares it.
+
+    ``heads`` are the rows k0 < r that :func:`_source_map` maps to
+    themselves, the stored cells.  ``first[k0]`` is the row serving pair
+    k0 in those cells stacked over their mirrors; a whole-block shift
+    keeps the values of a cell, so pair k is served by row first[k mod n1].
+    """
+    src = _source_map(n1)[w0][:r]
+    heads = tuple(k for k, s in enumerate(src) if s == k)
+    pos = {s: i for i, s in enumerate(heads)}
+    first = np.array([pos[s] if s == k else len(heads) + pos[s]
+                      for k, s in enumerate(src)])
+    first.setflags(write=False)
+    return heads, first
+
+
 def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip:
     """Table values for every pair (k, k + w), k = 0 .. n-1-w, as a strip.
 
     The strip :func:`~tbtinv.oracle.stack_cells` makes of the :func:`fetch`
-    of each pair, read in two row gathers instead.  A whole-block shift
-    keeps the values of a cell, so row k is row k mod n1 of the strip.
-    The rows k0 < min(n1, n - w) are served by the stored cells of the
-    map's row for w, each read once: the first gather stacks those
-    distinct cells, :func:`_mirror_values` mirrors them all at once, and
-    the second expands the direct and mirrored rows to the n - w rows of
-    the strip.  A stored cell read off the support of its pair raises
-    InternalIndexError.
+    of each pair, read in two row gathers instead, by the plan
+    :func:`_strip_plan` caches for the block size, w mod n1 and the block
+    rows min(n1, n - w).  The first gather stacks the distinct stored
+    cells of the distance, each read once, :func:`_mirror_values` mirrors
+    them all at once, and the second expands the direct and mirrored rows
+    to the n - w rows of the strip.  A stored cell read off the support
+    of its pair raises InternalIndexError.
     """
     n1, n = t.g.n1, t.g.n
     if not 0 <= w <= n - 1:
         raise IndexError(f"distance {w} outside a {n} x {n} table")
-    r = min(n1, n - w)
-    src = _source_map(n1)[w % n1][:r]
-    # Every row the map names serves itself, so those rows are the cells.
-    heads = [k for k, s in enumerate(src) if s == k]
+    heads, first = _strip_plan(n1, w % n1, min(n1, n - w))
     read = stack_cells([_source(t, k, w)[1] for k in heads], heads, w)
-    both = [np.concatenate(pair) for pair in zip(read, _mirror_values(*read))]
-    # ``both`` holds the cells, then their mirrors.
-    at = {s: i for i, s in enumerate(heads)}
-    first = [at[s] if s == k else len(heads) + at[s]
-             for k, s in enumerate(src)]
-    rows = np.array(first)[np.arange(n - w) % n1]
-    return _frozen(GrcStrip(*(x[rows] for x in both)))
+    at = first[np.arange(n - w) % n1]
+    both = zip(read, _mirror_values(*read))
+    return _frozen(GrcStrip(*(np.concatenate(pair)[at] for pair in both)))
 
 
 def tbt_factorization(g: TbtGenerator, counter: OpCounter | None = None, *,

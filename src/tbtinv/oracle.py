@@ -78,7 +78,7 @@ class GrcStrip(NamedTuple):
 
 def _frozen(s: GrcStrip) -> GrcStrip:
     for x in s:
-        x.flags.writeable = False
+        x.setflags(write=False)
     return s
 
 
@@ -245,11 +245,16 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
     Row k is :func:`grc_step` at (k, k + w): it reads the (k, l-1) forward
     polynomial from row k of ``prev`` and the (k+1, l) backward one from
     row k + 1, and ``seg[k, i] = R[k+i, k+w]`` is the column segment its
-    inner product takes.  Every check of the step is made on the whole
-    strip at once, by one reduction each; only when one fails is it made
-    row by row, and the first failing row raises what the cell-by-cell
-    recursion raises there.  A completed strip charges ``counter`` what
-    its steps would, by :func:`_charge`.
+    inner product takes.  Both polynomial updates are one expression,
+    x - [a; a'] x[::-1], on one zeroed 2 x r x (w+1) array x holding the
+    forward predecessors padded right and the backward ones padded left;
+    the forward head and the backward tail are exactly 1, so each entry is
+    the same rounding as :func:`grc_step`'s, and the new p and q are the
+    two halves of x.  Every check of the step is made on the whole strip
+    at once, by one reduction each; only when one fails is it made row by
+    row, and the first failing row raises what the cell-by-cell recursion
+    raises there.  A completed strip charges ``counter`` what its steps
+    would, by :func:`_charge`.
     """
     p_hat, vp_hat = prev.p[:-1], prev.vp[:-1]
     q_hat, v_hat = prev.q[1:], prev.v[1:]
@@ -258,22 +263,20 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
     ap = np.conj(num) / vp_hat
     growth = 1.0 - a * ap
     gr = growth.real
-    p = np.zeros((len(seg), w + 1), dtype=complex)
-    p[:, :w] = p_hat
-    p[:, 1:] -= a[:, None] * q_hat
-    q = np.zeros_like(p)
-    q[:, 1:] = q_hat
-    q[:, :w] -= ap[:, None] * p_hat
+    x = np.zeros((2, len(seg), w + 1), dtype=complex)
+    x[0, :, :w] = p_hat
+    x[1, :, 1:] = q_hat
+    x -= np.array((a, ap))[..., None] * x[::-1]
     # A minimum is NaN when any value is, so each test fails on NaN too.
     if not (v_hat.min() > _TINY and vp_hat.min() > _TINY and gr.min() > PD_TOL
-            and _finite(growth) and _finite(p) and _finite(q)):
+            and _finite(growth) and _finite(x)):
         held = (v_hat > _TINY) & (vp_hat > _TINY)
         ok = (held & np.isfinite(growth) & (gr > PD_TOL)
-              & np.isfinite(p).all(axis=1) & np.isfinite(q).all(axis=1))
+              & np.isfinite(x).all(axis=(0, 2)))
         k = int(np.argmin(ok))
         raise _step_error(k, k + w, num[k] if held[k] else None, growth[k])
     _charge(counter, len(seg), w)
-    return _frozen(GrcStrip(a, ap, v_hat * gr, vp_hat * gr, p, q))
+    return _frozen(GrcStrip(a, ap, v_hat * gr, vp_hat * gr, x[0], x[1]))
 
 
 def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
@@ -282,10 +285,13 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
     One :func:`grc_strip_step` per distance l - k computes every cell of
     that distance from the previous strip, reading the matrix directly,
     with no mirror or block shift, so the tables check the fast recursion
-    independently.  The steps check every value they produce, so numpy's
-    warnings about non-finite values are silenced for the sweep.
+    independently.  R is held C-contiguous, so the column segments
+    R[k+i, k+w] of a distance are one read-only strided view of it: offset
+    w and strides (n+1, n) entries.  The steps check every value they
+    produce, so numpy's warnings about non-finite values are silenced for
+    the sweep.
     """
-    R = validate_hermitian(R)
+    R = np.ascontiguousarray(validate_hermitian(R))
     n = R.shape[0]
     if n < 1:
         raise ValueError("matrix must be at least 1 x 1")
@@ -298,11 +304,13 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
     zero = np.zeros(n, dtype=complex)
     one = np.ones((n, 1), dtype=complex)
     strips = [_frozen(GrcStrip(zero, zero, d, d, one, one))]
-    rows = np.arange(n)
+    size = R.itemsize
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for w in range(1, n):
-            k = rows[:n - w, None]
-            seg = R[k + rows[:w], k + w]  # seg[k, i] = R[k + i, k + w]
+            # seg[k, i] = R[k + i, k + w]
+            seg = np.ndarray((n - w, w), R.dtype, R, w * size,
+                             ((n + 1) * size, n * size))
+            seg.setflags(write=False)
             strips.append(grc_strip_step(strips[-1], seg, w, counter))
     return CoeffTables(n, R, strips)
 
@@ -330,18 +338,23 @@ def cells_deviation(got: GrcStrip, want: GrcStrip) -> float:
     shape have different supports and are infinitely apart.  The four
     scalars of every row are compared as one 4 x r array, and the p and q
     rows as one 2r x (w+1) array.  Scalar moduli are ``np.hypot`` of the
-    parts, which rounds like the scalar ``abs`` of a complex number.
+    parts, which rounds like the scalar ``abs`` of a complex number.  A
+    correctly rounded quotient by a positive divisor is monotone in the
+    dividend, so every entry of a row is divided by the row's divisor and
+    one maximum taken over all of them: no maximum per row is taken of the
+    differences, and the value is the same.
     """
     if (got.p.shape, got.q.shape) != (want.p.shape, want.q.shape):
         return float("inf")
     x, y = (np.array((s.a, s.ap, s.v, s.vp)) for s in (got, want))
-    d = x - y
-    scalar = (np.hypot(d.real, d.imag)
-              / np.maximum(1.0, np.hypot(y.real, y.imag)))
+    x -= y
+    scalar = np.hypot(x.real, x.imag)
+    scalar /= np.maximum(np.hypot(y.real, y.imag), 1.0)
     x, y = (np.concatenate((s.p, s.q)) for s in (got, want))
-    poly = (np.max(np.abs(x - y), axis=1)
-            / np.maximum(1.0, np.max(np.abs(y), axis=1)))
-    return float(max(np.max(scalar), np.max(poly)))
+    x -= y
+    poly = np.abs(x)
+    poly /= np.maximum(np.abs(y).max(axis=1, keepdims=True), 1.0)
+    return float(max(scalar.max(), poly.max()))
 
 
 def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:

@@ -229,6 +229,26 @@ def test_strip_view_is_the_fetched_strip_gaussian(ell):
     _check_strip_view(gaussian_kernel(8, 8, ell))
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_strip_plans_are_shared_across_shapes(order):
+    # 5 x 3 and 5 x 4 share n1 but not n, and their tail distances have
+    # fewer than n1 rows.  A plan depends on n1, w mod n1 and the block rows
+    # r = min(n1, n - w) only.  Distances with r = n1 take the n1 plans of
+    # w mod n1; a tail distance has w mod n1 = -r mod n1, as n1 divides n,
+    # so its plan is one of n1 - 1 for any n2.  The 35 reads, interleaved
+    # in either order, need 2 n1 - 1 = 9 plans, and each read still gives
+    # the fetched strip.
+    tables = [tbt_grc(generate_pd_tbt(5, n2, seed=n2)) for n2 in (3, 4)]
+    tbtinv.fast._strip_plan.cache_clear()
+    for w in range(20)[::order]:
+        for t in tables:
+            if w < t.g.n:
+                for x, y in zip(fetch_strip(t, w), _fetched_strip(t, w)):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+    info = tbtinv.fast._strip_plan.cache_info()
+    assert (info.misses, info.hits) == (9, 26)
+
+
 def test_strip_view_range_and_missing_entry():
     t = tbt_grc(identity_generator(2, 2))
     for w in (-1, 4):

@@ -579,6 +579,13 @@ FAILING = {
     "underflow": 1e-310 * np.eye(3, dtype=complex),
     **{f"indefinite-{n}": _one_negative_eigenvalue(n, n) for n in (3, 6, 9, 12)},
     **{f"singular-{n}": _rank_deficient(n, n) for n in (3, 6, 9, 12)},
+    # Distance 1: row 0 passes, row 1 is indefinite (growth 1 - 4e10) and
+    # row 2 overflows (a = 1e300 / 1e-10).  One finiteness check per
+    # distance must still let the first failing row decide the error,
+    # NotPositiveDefinite at (1, 2).
+    "mixed-rows": (np.diag([1.0, 1.0, 1e-10, 1e-10])
+                   + np.diag([0.5, 2.0, 1e300], 1)
+                   + np.diag([0.5, 2.0, 1e300], -1)).astype(complex),
 }
 
 
@@ -595,6 +602,25 @@ def test_strip_reference_fails_like_cellwise_recursion(name):
         cellwise_tables(r)
     assert type(strip.value) is type(cell.value)
     assert strip.value.pair == cell.value.pair
+
+
+def test_grc_full_reads_every_layout_of_the_matrix():
+    # grc_full reads each distance's column segments as one strided view
+    # of R held C-contiguous; any other layout of the same exactly
+    # Hermitian matrix gives the same bits.
+    r = random_hermitian_pd(9, seed=3)
+    assert np.array_equal(r, r.conj().T)
+    big = np.zeros((18, 18), dtype=complex)
+    big[::2, ::2] = r
+    want = grc_full(np.ascontiguousarray(r)).strips
+    for layout in (np.asfortranarray(r), r.conj().T, big[::2, ::2]):
+        assert not layout.flags.c_contiguous
+        got = grc_full(layout).strips
+        assert len(got) == len(want)
+        for s, t in zip(got, want):
+            for x, y in zip(s, t):
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("n,want", [(1, (0, 0, 0)), (2, (6, 3, 2)),
