@@ -76,11 +76,13 @@ def run_verify(g: TbtGenerator,
                tolerance: float | None = None) -> VerifyReport:
     """Cross-check the fast solver, reference recursion and baseline.
 
-    Reads the fast tables one distance at a time through
-    :func:`~tbtinv.fast.fetch_strip` and compares each strip with the
-    dense reference's (a stored cell off its support raises
-    InternalIndexError), dropping each reference strip once it is
-    compared, measures the materialized-inverse residual, and
+    Runs the fast recursion, then the dense reference.  Each reference
+    strip is compared, as :func:`~tbtinv.oracle.grc_full` makes it, with
+    the fast tables' strip of its distance, read through
+    :func:`~tbtinv.fast.fetch_strip` (a stored cell off its support raises
+    InternalIndexError), so at most two reference strips are held at once
+    and the memory is that of the fast tables and R.  Then it measures the
+    materialized-inverse residual and
     (for n2 >= 2) the baseline's normal-equation residual.  Without a
     tolerance, every check must hold to max(1e-8, cond(R) * n * eps), the
     accuracy a backward-stable solver can promise on R (cond is taken on
@@ -94,10 +96,11 @@ def run_verify(g: TbtGenerator,
         if not scaled < 1.0:
             raise BeyondWorkingPrecision(f"cond(R)*n*eps = {scaled:.3g} >= 1")
         tolerance = max(1e-8, scaled)
-    strips = grc_full(r).strips[::-1]  # popped as they are compared
     tables = tbt_grc(g)
-    dev = max(cells_deviation(fetch_strip(tables, w), strips.pop())
-              for w in range(n))
+    devs = []
+    grc_full(r, each=lambda w, strip: devs.append(
+        cells_deviation(fetch_strip(tables, w), strip)))
+    dev = max(devs)
     inverse = inverse_dense(tbt_factorization(g, tables=tables))
     resid = float(np.linalg.norm(r @ inverse - np.eye(n)) / np.sqrt(n))
     wwr_rel = None

@@ -279,22 +279,14 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
     return _frozen(GrcStrip(a, ap, v_hat * gr, vp_hat * gr, x[0], x[1]))
 
 
-def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
-    """Fill the complete tables for a dense Hermitian matrix.
-
-    One :func:`grc_strip_step` per distance l - k computes every cell of
-    that distance from the previous strip, reading the matrix directly,
-    with no mirror or block shift, so the tables check the fast recursion
-    independently.  R is held C-contiguous, so the column segments
-    R[k+i, k+w] of a distance are one read-only strided view of it: offset
-    w and strides (n+1, n) entries.  The steps check every value they
-    produce, so numpy's warnings about non-finite values are silenced for
-    the sweep.
-    """
-    R = np.ascontiguousarray(validate_hermitian(R))
+def _strips(R: np.ndarray, counter: OpCounter | None):
+    """The strips of distances 0 .. n-1 of C-contiguous R, in order, each
+    made by :func:`grc_strip_step` from the one before, which is the only
+    one held.  The column segments R[k+i, k+w] of a distance are one
+    read-only strided view of R: offset w and strides (n+1, n) entries.
+    A diagonal entry that is not positive raises NotPositiveDefinite
+    before any strip."""
     n = R.shape[0]
-    if n < 1:
-        raise ValueError("matrix must be at least 1 x 1")
     d = R.diagonal().real.copy()
     bad = np.flatnonzero(d <= 0.0)
     if bad.size:
@@ -303,16 +295,48 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None) -> CoeffTables:
             f"diagonal entry {k} is not positive", pair=(k, k))
     zero = np.zeros(n, dtype=complex)
     one = np.ones((n, 1), dtype=complex)
-    strips = [_frozen(GrcStrip(zero, zero, d, d, one, one))]
+    s = _frozen(GrcStrip(zero, zero, d, d, one, one))
+    del d, zero, one  # strip 0 alone holds them, and goes once read
     size = R.itemsize
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        for w in range(1, n):
+    for w in range(n):
+        if w:
             # seg[k, i] = R[k + i, k + w]
             seg = np.ndarray((n - w, w), R.dtype, R, w * size,
                              ((n + 1) * size, n * size))
             seg.setflags(write=False)
-            strips.append(grc_strip_step(strips[-1], seg, w, counter))
-    return CoeffTables(n, R, strips)
+            s = grc_strip_step(s, seg, w, counter)
+        yield s
+
+
+def grc_full(R: np.ndarray, counter: OpCounter | None = None, *,
+             each=None) -> CoeffTables:
+    """Fill the complete tables for a dense Hermitian matrix.
+
+    One :func:`grc_strip_step` per distance l - k computes every cell of
+    that distance from the previous strip, reading the matrix directly,
+    with no mirror or block shift, so the tables check the fast recursion
+    independently.  The steps check every value they produce, so numpy's
+    warnings about non-finite values are silenced for the sweep, ``each``
+    included, as :func:`~tbtinv.fast.tbt_grc` silences them for its reads.
+
+    By default the tables hold every strip.  With ``each``, each strip is
+    handed to ``each(w, strip)`` as it is made, for w = 0 .. n-1 in order,
+    and only the strip the next distance reads is kept: the tables
+    returned hold no strips, and the memory is R and two strips.  A step
+    that fails raises after ``each`` has seen every distance before it.
+    The strips and the charge to ``counter`` are the same either way.
+    """
+    R = np.ascontiguousarray(validate_hermitian(R))
+    n = R.shape[0]
+    if n < 1:
+        raise ValueError("matrix must be at least 1 x 1")
+    strips = _strips(R, counter)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if each is None:
+            return CoeffTables(n, R, list(strips))
+        for w, s in enumerate(strips):
+            each(w, s)
+    return CoeffTables(n, R, [])
 
 
 def stack_cells(cells: list, heads, w: int) -> GrcStrip:

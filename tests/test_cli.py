@@ -17,7 +17,8 @@ from tbtinv.cli import EXIT_BEYOND_PRECISION, EXIT_FAIL, EXIT_INTERNAL, \
 from tbtinv.fileio import format_generator, read_dense, read_factor, \
     read_generator, write_generator
 from tbtinv.oracle import entry_deviation
-from conftest import identity_generator, poison_column, top_of_range
+from conftest import identity_generator, peak_bytes, poison_column, \
+    top_of_range
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -416,47 +417,74 @@ def test_run_verify_builds_dense_matrix_and_tables_once(monkeypatch):
     assert calls == {"assemble_dense": 1, "tbt_grc": 1}
 
 
-def test_run_verify_releases_reference_before_the_factor(monkeypatch):
-    grc_full, factorization = cli.grc_full, cli.tbt_factorization
-    reference = []
+def _watch_reference(monkeypatch):
+    """Wrap ``cli.grc_full`` so that every reference strip handed to the
+    comparison is recorded as weak references to its arrays, one list per
+    distance.  ``done`` gets one entry per grc_full call: whether every
+    strip was gone when it returned."""
+    grc_full = cli.grc_full
+    arrays, done = [], []
 
-    def kept(*args, **kwargs):
-        t = grc_full(*args, **kwargs)
-        reference.append(weakref.ref(t))
+    def kept(*args, each, **kwargs):
+        def watched(w, strip):
+            assert w == len(arrays), "a distance seen twice or skipped"
+            arrays.append([weakref.ref(x) for x in strip])
+            each(w, strip)
+
+        t = grc_full(*args, each=watched, **kwargs)
+        assert t.strips == []
+        done.append(all(x() is None for s in arrays for x in s))
         return t
 
+    monkeypatch.setattr(cli, "grc_full", kept)
+    return arrays, done
+
+
+def test_run_verify_releases_reference_before_the_factor(monkeypatch):
+    # The reference streams into the comparison: no strip outlives
+    # grc_full, so none is alive when the factor is built.
+    arrays, done = _watch_reference(monkeypatch)
+    factorization = cli.tbt_factorization
+
     def checked(*args, **kwargs):
-        assert reference and reference[0]() is None, \
-            "the reference tables outlive the strip comparison"
+        assert done == [True], "a reference strip outlives grc_full"
         return factorization(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "grc_full", kept)
     monkeypatch.setattr(cli, "tbt_factorization", checked)
     assert run_verify(generate_pd_tbt(3, 2, seed=4)).passed
-    assert len(reference) == 1
+    assert len(arrays) == 6 and done == [True]
 
 
 def test_run_verify_drops_each_reference_strip_once_compared(monkeypatch):
-    # The fast tables now hold the factor during the comparison, so the
-    # reference may hold no strip it has compared.
-    grc_full, deviation = cli.grc_full, cli.cells_deviation
-    arrays = []
-
-    def kept(*args, **kwargs):
-        t = grc_full(*args, **kwargs)
-        arrays.extend([weakref.ref(x) for x in s] for s in t.strips)
-        return t
+    # The fast tables hold the factor during the comparison, so the
+    # reference holds only the strip the next distance reads: when
+    # distance w is compared, no strip older than w - 1 is alive.  Each
+    # distance is compared once, in order.
+    arrays, done = _watch_reference(monkeypatch)
+    deviation = cli.cells_deviation
+    compared = []
 
     def checked(got, want):
         w = want.p.shape[1] - 1
-        assert w == 0 or all(x() is None for x in arrays[w - 1]), \
-            f"strip {w - 1} outlives its comparison"
+        assert all(x() is None for s in arrays[:max(w - 1, 0)] for x in s), \
+            f"a strip older than {w - 1} outlives its comparison"
+        compared.append(w)
         return deviation(got, want)
 
-    monkeypatch.setattr(cli, "grc_full", kept)
     monkeypatch.setattr(cli, "cells_deviation", checked)
     assert run_verify(generate_pd_tbt(3, 3, seed=4)).passed
-    assert len(arrays) == 9
+    assert compared == list(range(9)) and len(arrays) == 9
+    assert done == [True]
+
+
+def test_run_verify_peak_at_12x12_is_the_fast_tables_and_r():
+    # 1.45 times the fast tables' own peak: the reference streams into
+    # the comparison, two strips at a time; holding every reference strip
+    # read 6.7.  The first calls are left out: they also fill caches.
+    g = generate_pd_tbt(12, 12, seed=1)
+    run_verify(g)
+    tbt_grc(g)
+    assert peak_bytes(run_verify, g) <= 2 * peak_bytes(tbt_grc, g)
 
 
 def test_run_verify_single_block():

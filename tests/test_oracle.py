@@ -623,6 +623,45 @@ def test_grc_full_reads_every_layout_of_the_matrix():
                 assert x.tobytes() == y.tobytes()
 
 
+def _bits(strip):
+    return [(x.dtype, x.shape, x.tobytes()) for x in strip]
+
+
+@pytest.mark.parametrize("r", [
+    random_hermitian_pd(9, seed=5),
+    assemble_dense(gaussian_kernel(6, 6, 2.0)),
+    assemble_dense(generate_pd_tbt(1, 12, seed=5)),
+    assemble_dense(generate_pd_tbt(12, 1, seed=5)),
+], ids=["random9", "gauss6x6-l2", "1x12", "12x1"])
+def test_grc_full_hands_each_strip_over_as_made(r):
+    # With ``each``, the strips stream out in order, bitwise those the
+    # full tables hold, for the same charge; the tables keep none.
+    full, streamed = OpCounter(), OpCounter()
+    want = grc_full(r, full).strips
+    seen = []
+    t = grc_full(r, streamed, each=lambda w, s: seen.append((w, _bits(s))))
+    assert t.strips == [] and t.n == len(want)
+    assert seen == [(w, _bits(s)) for w, s in enumerate(want)]
+    assert (streamed.mul, streamed.add, streamed.div) == \
+        (full.mul, full.add, full.div)
+
+
+@pytest.mark.parametrize("name", FAILING)
+def test_grc_full_each_sees_every_distance_before_the_failure(name):
+    r = FAILING[name]
+    errors = (NotPositiveDefinite, NumericalBreakdown)
+    with pytest.raises(errors) as whole:
+        grc_full(r)
+    seen = []
+    with pytest.raises(errors) as streamed:
+        grc_full(r, each=lambda w, s: seen.append(w))
+    assert type(streamed.value) is type(whole.value)
+    assert streamed.value.pair == whole.value.pair
+    assert str(streamed.value) == str(whole.value)
+    k, l = whole.value.pair
+    assert seen == list(range(l - k))
+
+
 @pytest.mark.parametrize("n,want", [(1, (0, 0, 0)), (2, (6, 3, 2)),
                                     (5, (90, 60, 20)), (9, (468, 360, 72)),
                                     (16, (2400, 2040, 240))])
