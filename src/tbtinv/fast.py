@@ -109,10 +109,11 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
     """Run the half-table recursion over the generator.
 
     At each distance w = l - k, the stored pairs are the (k, k + w),
-    k < n1, that :func:`_source_map` maps to themselves.  The diagonal
-    ones, like their mirrors, hold the unit vector e_k as both
-    polynomials and c(0, 0) as both residuals; the others are filled by
-    increasing w, the order of the dense reference recursion.  Each step
+    k < n1, that :func:`_source_map` maps to themselves: the heads of the
+    distance's :func:`_strip_plan`, as :func:`fetch_strip` reads them.
+    The diagonal ones, like their mirrors, hold the unit vector e_k as
+    both polynomials and c(0, 0) as both residuals; the others are filled
+    by increasing w, the order of the dense reference recursion.  Each step
     reads its two predecessors, (k, l-1) and (k+1, l), through
     :func:`fetch`.  A mirror or a block shift keeps the distance, so every
     predecessor is ready when it is read.  Each step checks every value it
@@ -138,12 +139,9 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
     c00 = g.c[0, n1 - 1].real
     t = CanonicalTables(g, {})
     lower, diag = _aligned_zeros(n), np.empty(n)
-    src = _source_map(n1)
     with np.errstate(invalid="ignore", over="ignore"):
         for w in range(n):
-            for k, s in enumerate(src[w % n1][:n - w]):
-                if s != k:
-                    continue
+            for k in _strip_plan(n1, w % n1, min(n1, n - w))[0]:
                 l = k + w
                 if w == 0:
                     e_k = unit_band(n, k)

@@ -16,14 +16,16 @@ factor file      line 1: ``n``; then n column lines ``k n-1 re im ...``
 The first line's integers fix how many data lines must follow, and a
 header whose sizes the text cannot hold is rejected before anything is
 allocated.  Each format's lines come from one generator, which
-``format_*`` joins and ``write_*`` writes one at a time.  :func:`_sized`
-reads them in two passes that hold one line at a time, counting the
-header, data lines and characters, then parsing: ``parse_*`` over the
-text, ``read_*`` over the file, opened once and rewound for each pass.  A
-pipe is read whole and parsed as a text, so its memory is its text.
+``format_*`` joins and ``write_*`` writes one at a time.  A reader parses
+the raw lines in one pass that holds one line at a time, and the text's
+length bounds what it allocates: ``parse_*`` takes the length of the
+text, ``read_*`` the size in bytes of the file, opened once.  A pipe, or
+any file whose size reads 0, is read whole and parsed as a text.
 """
 
 import itertools
+import os
+import stat
 
 import numpy as np
 
@@ -48,34 +50,26 @@ def _text_lines(text: str):
         start = end
 
 
-def _data_lines(raw, chars=None):
+def _data_lines(raw):
     """The stripped data lines of the raw lines ``raw``, each re-split by
     ``str.splitlines``, so ``\\x0c``, ``\\x85`` and the like end a line as
-    they do in the whole text; blank and ``#`` lines are dropped.  Given
-    ``chars``, ``chars[0]`` counts the raw lines' characters."""
+    they do in the whole text; blank and ``#`` lines are dropped."""
     for line in raw:
-        if chars is not None:
-            chars[0] += len(line)
         for part in line.splitlines():
             part = part.strip()
             if part and not part.startswith("#"):
                 yield part
 
 
-def _sized(source, what: str, head: str, rows, least: int = 0) -> tuple:
-    """``(sizes, chars, lines)`` of the text whose raw lines ``source()``
-    returns afresh for each of two passes that hold one line at a time.
+def _sized(raw, what: str, head: str, rows, least: int = 0) -> tuple:
+    """``(sizes, lines)`` of the text whose raw lines ``raw`` yields.
 
-    The counting pass takes the header, counts the data lines after it
-    and the text's characters.  The header's sizes, named by ``head`` and
-    each at least ``least``, must be followed by ``rows(*sizes)`` data
-    lines.  ``lines`` is the parsing pass: a generator of those data
-    lines, which raises ValueError if the text changed in between.
+    The header's sizes, named by ``head`` and each at least ``least``,
+    must be followed by ``rows(*sizes)`` data lines.  ``lines`` yields
+    them and raises ValueError once the text has more or fewer.
     """
-    chars = [0]
-    lines = _data_lines(source(), chars)
+    lines = _data_lines(raw)
     header = next(lines, None)
-    found = sum(1 for _ in lines)
     if header is None:
         raise ValueError(f"{what} file: empty")
     try:
@@ -85,38 +79,30 @@ def _sized(source, what: str, head: str, rows, least: int = 0) -> tuple:
     if len(sizes) != len(head.split()) or min(sizes) < least:
         raise ValueError(f"{what} file: first line must be '{head}', "
                          f"{'positive' if least else 'nonnegative'} integers")
-    count = rows(*sizes)
+    return sizes, _counted(lines, what, rows(*sizes))
+
+
+def _counted(lines, what: str, count: int):
+    found = 0
+    for found, line in enumerate(lines, 1):
+        if found <= count:
+            yield line
     if found != count:
         raise ValueError(f"{what} file: expected {count} data lines, "
                          f"got {found}")
-    return sizes, chars[0], _parsing_pass(source, what, count)
-
-
-def _parsing_pass(source, what: str, count: int):
-    got = 0
-    lines = _data_lines(source())
-    next(lines, None)  # the header
-    for got, line in enumerate(lines, 1):
-        if got > count:
-            break
-        yield line
-    if got != count:
-        raise ValueError(f"{what} file: changed while it was read")
 
 
 def _from_file(path, read):
-    """``read(source)`` of the file at ``path``, opened once and rewound by
-    ``source()`` for each pass; a pipe is read whole, as ``parse_*`` read."""
+    """``read(raw, chars)`` of the file at ``path``, opened once and read by
+    lines in one pass, with ``chars`` its size in bytes; a pipe, or a file
+    whose size reads 0, is read whole, as ``parse_*`` read."""
     with open(path) as fh:
-        if not fh.seekable():
+        info = os.fstat(fh.fileno())
+        if not (stat.S_ISREG(info.st_mode) and info.st_size):
             text = fh.read()
-            return read(lambda: _text_lines(text))
-
-        def source():
-            fh.seek(0)
-            return fh
+            return read(_text_lines(text), len(text))
         try:
-            return read(source)
+            return read(fh, info.st_size)
         except UnicodeDecodeError:
             # Placed within the file, not its 8 KB chunk as read by lines.
             fh.seek(0)
@@ -138,17 +124,19 @@ def _complex_rows(lines, chars: int, rows: int, count: int,
                   what: str) -> np.ndarray:
     """The ``rows`` x ``count`` array whose row i is data line i's
     ``count`` complex values, written as ``re im`` pairs and named
-    ``what i`` in errors.  It is allocated before the first row only if
-    the text's ``chars`` characters can hold it: a row's 2*count values
+    ``what row i`` in errors.  It is allocated before the first row only
+    if the text's ``chars`` characters can hold it: a row's 2*count values
     and separators take 4*count - 1, so in a shorter text some row is
     short and raises before anything is stored.
     """
     fits = chars >= rows * (4 * count - 1)
     out = np.empty((rows, 2 * count)) if fits else None
     for i, line in enumerate(lines):
-        values = _floats(line.split(), 2 * count, f"{what} {i}")
+        values = _floats(line.split(), 2 * count, f"{what} row {i}")
         if out is not None:
             out[i] = values
+    if out is None:  # the text outgrew the size it was read with
+        raise ValueError(f"{what} file: changed while it was read")
     return out.view(complex)
 
 
@@ -162,15 +150,14 @@ def format_generator(g: TbtGenerator) -> str:
     return "".join(_generator_lines(g))
 
 
-def _generator(source) -> TbtGenerator:
-    (n1, n2), chars, lines = _sized(source, "generator", "n1 n2",
-                                    lambda n1, n2: n2, 1)
+def _generator(raw, chars: int) -> TbtGenerator:
+    (n1, n2), lines = _sized(raw, "generator", "n1 n2", lambda n1, n2: n2, 1)
     return TbtGenerator(n1, n2, _complex_rows(lines, chars, n2, 2 * n1 - 1,
-                                              "generator row"))
+                                              "generator"))
 
 
 def parse_generator(text: str) -> TbtGenerator:
-    return _generator(lambda: _text_lines(text))
+    return _generator(_text_lines(text), len(text))
 
 
 def write_generator(g: TbtGenerator, path) -> None:
@@ -193,13 +180,13 @@ def format_dense(a: np.ndarray) -> str:
     return "".join(_dense_lines(a))
 
 
-def _dense(source) -> np.ndarray:
-    (n,), chars, lines = _sized(source, "dense", "n", lambda n: n)
-    return _complex_rows(lines, chars, n, n, "dense row")
+def _dense(raw, chars: int) -> np.ndarray:
+    (n,), lines = _sized(raw, "dense", "n", lambda n: n)
+    return _complex_rows(lines, chars, n, n, "dense")
 
 
 def parse_dense(text: str) -> np.ndarray:
-    return _dense(lambda: _text_lines(text))
+    return _dense(_text_lines(text), len(text))
 
 
 def write_dense(a: np.ndarray, path) -> None:
@@ -224,8 +211,8 @@ def format_factor(f: InverseFactor) -> str:
     return "".join(_factor_lines(f))
 
 
-def _factor(source) -> InverseFactor:
-    (n,), chars, lines = _sized(source, "factor", "n", lambda n: n + 1)
+def _factor(raw, chars: int) -> InverseFactor:
+    (n,), lines = _sized(raw, "factor", "n", lambda n: n + 1)
     for k, line in enumerate(lines):
         if k == n:
             diag = _floats(line.split(), n, "factor diagonal")
@@ -253,7 +240,7 @@ def _factor(source) -> InverseFactor:
 
 
 def parse_factor(text: str) -> InverseFactor:
-    return _factor(lambda: _text_lines(text))
+    return _factor(_text_lines(text), len(text))
 
 
 def write_factor(f: InverseFactor, path) -> None:

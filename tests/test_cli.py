@@ -247,8 +247,8 @@ def test_verify_pass_and_fail(tmp_path, capsys):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"),
                     reason="no /dev/fd to name a pipe by")
 def test_verify_reads_a_pipe(capsys):
-    # Piped input cannot be rewound for the reader's second pass; it is
-    # read whole, as `cat g.txt | tbtinv verify --input /dev/stdin` does.
+    # Piped input has no size to bound its text; it is read whole, as
+    # `cat g.txt | tbtinv verify --input /dev/stdin` does.
     r, w = os.pipe()
     try:
         os.write(w, format_generator(generate_pd_tbt(3, 3, seed=11)).encode())

@@ -1,3 +1,4 @@
+import io
 import locale
 import os
 
@@ -22,6 +23,7 @@ from tbtinv.fileio import (
     write_factor,
     write_generator,
 )
+from tbtinv import fileio
 from conftest import peak_bytes, random_generator
 
 
@@ -182,19 +184,45 @@ def test_factor_errors():
         parse_factor(f"{n}\n{columns}1\n")
 
 
-def test_factor_size_the_text_cannot_hold():
-    # Column 0 is full, the later column lines hold one value each: the
-    # text is far too short for n = 3000, and must fail before the
-    # 144 MB n x n allocation.
-    n = 3000
-    text = (f"{n}\n0 {n - 1} " + "1 0 " * n + "\n"
+def _factor_text_too_short(n: int) -> str:
+    """Column 0 is full, the later column lines hold one value each."""
+    return (f"{n}\n0 {n - 1} " + "1 0 " * n + "\n"
             + "".join(f"{k} {n - 1} 1 0\n" for k in range(1, n)) + "1\n")
+
+
+def test_factor_size_the_text_cannot_hold():
+    # The text is far too short for n = 3000, and must fail before the
+    # 144 MB n x n allocation.
+    text = _factor_text_too_short(3000)
 
     def parse():
         with pytest.raises(ValueError, match="characters"):
             parse_factor(text)
 
     assert peak_bytes(parse) < 5e6
+
+
+def test_factor_file_the_size_cannot_hold(tmp_path):
+    # The file twin: the bound is the file's size, taken before it is read.
+    path = tmp_path / "f.txt"
+    path.write_text(_factor_text_too_short(3000))
+
+    def read():
+        with pytest.raises(ValueError, match="characters"):
+            read_factor(path)
+
+    assert peak_bytes(read) < 5e6
+
+
+@pytest.mark.parametrize("read, text", [
+    (fileio._generator, "2 1\n0 0 1 0 0 0\n"), (fileio._dense, "1\n0 0\n")],
+    ids=["generator", "dense"])
+def test_rows_longer_than_the_size_said(read, text):
+    # A file that grows after its size was taken: every row parses, but
+    # the 2 characters said the array could not be held, so none was
+    # allocated.
+    with pytest.raises(ValueError, match="changed while it was read"):
+        read(fileio._text_lines(text), 2)
 
 
 # Signed zeros and subnormals are drawn often, not left to chance.
@@ -314,22 +342,16 @@ def test_read_dense_and_generator_stream(tmp_path):
                     reason="files are read in the locale's encoding")
 def test_undecodable_byte_is_placed_within_the_file(tmp_path):
     # Past the first 8 KB chunk a file read by lines would count the
-    # position from the chunk's start.
-    data = bytearray(b"1 1\n" + b"1 0 " * 6000 + b"\n")
-    data[20000] = 0xFF
-    path = tmp_path / "x.txt"
-    path.write_bytes(bytes(data))
-    for read in (read_generator, read_dense, read_factor):
+    # position from the chunk's start.  Each header is valid, so the
+    # reader gets as far as the bad byte.
+    for read, head in ((read_generator, b"1 1"), (read_dense, b"1"),
+                       (read_factor, b"1")):
+        data = bytearray(head + b"\n" + b"1 0 " * 6000 + b"\n")
+        data[20000] = 0xFF
+        path = tmp_path / "x.txt"
+        path.write_bytes(bytes(data))
         with pytest.raises(UnicodeDecodeError, match="position 20000:"):
             read(path)
-
-
-def test_file_changed_between_the_passes():
-    from tbtinv.fileio import _generator, _text_lines
-
-    texts = iter(["1 2\n1 0\n0 0\n", "1 2\n1 0\n"])
-    with pytest.raises(ValueError, match="changed while it was read"):
-        _generator(lambda: _text_lines(next(texts)))
 
 
 # One value of each format, for the readers' file and pipe tests.
@@ -345,15 +367,20 @@ def test_each_reader_opens_a_regular_file_once(name, tmp_path, monkeypatch):
     _, _, _, write, read, values = ROUNDTRIP[name]
     path = tmp_path / "x.txt"
     write(SAMPLES[name], path)
-    opened = []
+    opened, seeks = [], []
 
-    def counting_open(*args, **kwargs):
-        opened.append(args)
-        return open(*args, **kwargs)
+    class Handle(io.TextIOWrapper):
+        def seek(self, *args):
+            seeks.append(args)
+            return super().seek(*args)
+
+    def counting_open(file):
+        opened.append(file)
+        return Handle(open(file, "rb"))
 
     monkeypatch.setattr(tbtinv.fileio, "open", counting_open, raising=False)
     back = read(path)
-    assert len(opened) == 1
+    assert len(opened) == 1 and not seeks
     for got, want in zip(values(back), values(SAMPLES[name])):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -374,10 +401,34 @@ needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"),
                                   reason="no /dev/fd to name a pipe by")
 
 
+@pytest.mark.parametrize("name", ROUNDTRIP)
+def test_each_reader_reads_a_file_whose_size_reads_0_whole(
+        name, tmp_path, monkeypatch):
+    # As a /proc file does: its size gives no bound on its text.  Read by
+    # lines with 0 characters, every format would refuse to allocate.
+    _, _, _, write, read, values = ROUNDTRIP[name]
+    path = tmp_path / "x.txt"
+    write(SAMPLES[name], path)
+    fstat = os.fstat
+    sized = []
+
+    def fstat_0(fd):
+        sized.append(fd)
+        info = list(fstat(fd))
+        info[6] = 0  # st_size
+        return os.stat_result(info)
+
+    monkeypatch.setattr(os, "fstat", fstat_0)
+    back = read(path)
+    assert sized
+    for got, want in zip(values(back), values(SAMPLES[name])):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @needs_dev_fd
 @pytest.mark.parametrize("name", ROUNDTRIP)
 def test_each_reader_reads_a_pipe(name):
-    # A pipe cannot be rewound for the second pass; it is read whole.
+    # A pipe's size bounds nothing; it is read whole.
     _, fmt, _, _, read, values = ROUNDTRIP[name]
     x = SAMPLES[name]
     back = _read_piped(read, ("# piped\n" + fmt(x)).encode())
