@@ -29,8 +29,7 @@ from .core import FactorizationMismatch, InternalIndexError, \
     assemble_dense, unit_scaled
 from .fast import fetch_strip, tbt_factorization, tbt_grc
 from .instances import generate_pd_tbt
-from .oracle import build_factorization, cells_deviation, grc_full, \
-    inverse_dense
+from .oracle import _column_sink, cells_deviation, grc_full, inverse_dense
 from .wwr import WwrState, normal_system, wwr_recurse, wwr_residual
 
 EXIT_PASS = 0
@@ -192,7 +191,8 @@ def cmd_invert(args: argparse.Namespace) -> int:
     g = fileio.read_generator(args.input)
     counter = OpCounter() if args.counter else None
     if args.method == "oracle":
-        factor = build_factorization(grc_full(assemble_dense(g), counter))
+        each, done = _column_sink(g.n)  # no strip is held
+        factor = done(grc_full(assemble_dense(g), counter, each=each).matrix)
     else:
         factor = tbt_factorization(g, counter)
     fileio.write_dense(inverse_dense(factor), args.output)

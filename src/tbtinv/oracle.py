@@ -47,6 +47,7 @@ _TINY = 1e-300
 # Rows per block of the factor's checks and of the dense inverse, so
 # neither holds an n x n temporary.
 _BLOCK = 64
+_INVERSE_BLOCK = 16
 
 
 class GrcEntry(NamedTuple):
@@ -417,28 +418,33 @@ def write_column(lower: np.ndarray, diag: np.ndarray, k: int, p,
     diag[k] = vp
 
 
-def build_factorization(t: CoeffTables) -> InverseFactor:
-    """Assemble the inverse factor from completed tables and verify it.
+def _column_sink(n: int):
+    """``each(w, strip)``, which writes column n-1-w of a zeroed n x n
+    factor from strip w's last row, the full-width cell (n-1-w, n-1), and
+    ``done(R)``, the factor so filled, checked by :func:`_checked`."""
+    lower, diag = _aligned_zeros(n), np.empty(n)
 
-    Each diagonal entry d_k is confirmed against the directly evaluated
-    quadratic form F_k^H R F_k, to within that form's rounding bound
-    n * eps * |R|_F * |F_k|^2, its first factor taken on
-    :func:`~tbtinv.core.unit_scaled` R so that it stays finite where |R|_F
-    passes range.  The bound has no term for the error d_k itself carries.
-    It holds up to cond(R) of about 4e14: on Gaussian kernels that far the
-    gap stays below 2% of it, and there a mismatch means the recursion is
-    broken.  Nearer cond(R) = 1/eps, rounding alone can exceed it (a gap
-    of 2.4e-12 against a bound of 2.27e-12 was seen on a 16 x 4 Gaussian
-    kernel of cond 6.8e15), so a mismatch there need not be a bug.
+    def each(w: int, s: GrcStrip) -> None:
+        write_column(lower, diag, n - 1 - w, s.p[-1], s.vp[-1])
+    return each, lambda R: _checked(R, lower, diag)
+
+
+def _checked(R: np.ndarray, lower, diag) -> InverseFactor:
+    """The inverse factor of R from its filled columns, each diagonal entry d_k
+    confirmed against the directly evaluated quadratic form F_k^H R F_k, to
+    within that form's rounding bound n * eps * |R|_F * |F_k|^2, its first
+    factor taken on :func:`~tbtinv.core.unit_scaled` R so that it stays finite
+    where |R|_F passes range.  The bound has no term for the error d_k itself
+    carries.  It holds up to cond(R) of about 4e14: on Gaussian kernels that
+    far the gap stays below 2% of it, and there a mismatch means the recursion
+    is broken.  Nearer cond(R) = 1/eps, rounding alone can exceed it (a gap of
+    2.4e-12 against a bound of 2.27e-12 was seen on a 16 x 4 Gaussian kernel of
+    cond 6.8e15), so a mismatch there need not be a bug.
     """
-    lower, diag = _aligned_zeros(t.n), np.empty(t.n)
-    for k, s in enumerate(reversed(t.strips)):
-        write_column(lower, diag, k, s.p[k], s.vp[k])
     f = InverseFactor(lower, diag)
-    R = t.matrix
     scaled, e = unit_scaled(R)
-    rounding = np.ldexp(np.linalg.norm(scaled) * t.n * np.finfo(float).eps, e)
-    for k in range(t.n):
+    rounding = np.ldexp(np.linalg.norm(scaled) * f.n * np.finfo(float).eps, e)
+    for k in range(f.n):
         col = f.lower[k:, k]
         direct = np.vdot(col, R[k:, k:] @ col)
         bound = rounding * np.vdot(col, col).real
@@ -448,6 +454,15 @@ def build_factorization(t: CoeffTables) -> InverseFactor:
                 f"direct quadratic form {direct!r} (rounding bound "
                 f"{bound:.3g})")
     return f
+
+
+def build_factorization(t: CoeffTables) -> InverseFactor:
+    """The verified inverse factor of completed tables, whose strips go
+    through :func:`_column_sink` as :func:`grc_full` hands them over."""
+    each, done = _column_sink(t.n)
+    for w, s in enumerate(t.strips):
+        each(w, s)
+    return done(t.matrix)
 
 
 def apply_inverse(f: InverseFactor, b) -> np.ndarray:
@@ -466,21 +481,21 @@ def apply_inverse(f: InverseFactor, b) -> np.ndarray:
 def inverse_dense(f: InverseFactor) -> np.ndarray:
     """Materialize the full inverse F diag^-1 F^H, exactly Hermitian.
 
-    It is computed straight into its output by blocks of ``_BLOCK`` rows,
-    only the lower block triangle: rows i..j-1 up to column j-1 are the
-    conjugate of conj(F[i:j, :j]) diag^-1 F[:j, :j]^T, which reads F only
-    up to the block's last column (its upper triangle is zero), about half
-    the multiplies of the whole product.  Each block is mirrored above the
-    diagonal, and the diagonal block is made exactly Hermitian in place as
-    (blk + blk^H) / 2.  So besides the output only one block row is held.
-    An inverse past the float range, a block not finite, raises
-    NumericalBreakdown; numpy's warnings about it are silenced.
+    It is computed straight into its output by blocks of ``_INVERSE_BLOCK``
+    rows, only the lower block triangle: rows i..j-1 up to column j-1 are
+    the conjugate of conj(F[i:j, :j]) diag^-1 F[:j, :j]^T, which reads F
+    only up to the block's last column (its upper triangle is zero), about
+    half the multiplies of the whole product.  Each block is mirrored
+    above the diagonal, and the diagonal block is made exactly Hermitian
+    in place as (blk + blk^H) / 2.  So besides the output only one block
+    row is held.  An inverse past the float range, a block not finite,
+    raises NumericalBreakdown; numpy's warnings about it are silenced.
     """
     n = f.n
     x = np.empty((n, n), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, n, _BLOCK):
-            j = min(i + _BLOCK, n)
+        for i in range(0, n, _INVERSE_BLOCK):
+            j = min(i + _INVERSE_BLOCK, n)
             rows = np.conj(f.lower[i:j, :j])
             rows /= f.diag[:j]
             out = x[i:j, :j]  # the block's conjugate, until conjugated

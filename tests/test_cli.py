@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 import tbtinv.fast
 import tbtinv.wwr
 from tbtinv import BandVector, FactorizationMismatch, InternalIndexError, \
-    NumericalBreakdown, TbtGenerator, assemble_dense, fetch, \
-    gaussian_kernel, generate_pd_tbt, grc_full, index_exchange, tbt_grc
+    NumericalBreakdown, OpCounter, TbtGenerator, assemble_dense, \
+    build_factorization, fetch, gaussian_kernel, generate_pd_tbt, grc_full, \
+    index_exchange, inverse_dense, tbt_grc
 from tbtinv import cli
 from tbtinv.cli import EXIT_BEYOND_PRECISION, EXIT_FAIL, EXIT_INTERNAL, \
     EXIT_NOT_PD, EXIT_PASS, EXIT_USAGE, main, run_verify
 from tbtinv.fileio import format_generator, read_dense, read_factor, \
-    read_generator, write_generator
+    read_generator, write_dense, write_factor, write_generator
 from tbtinv.oracle import entry_deviation
 from conftest import identity_generator, peak_bytes, poison_column, \
     top_of_range
@@ -485,6 +486,58 @@ def test_run_verify_peak_at_12x12_is_the_fast_tables_and_r():
     run_verify(g)
     tbt_grc(g)
     assert peak_bytes(run_verify, g) <= 2 * peak_bytes(tbt_grc, g)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_pd_tbt(1, 9, seed=3),
+    lambda: generate_pd_tbt(9, 1, seed=3),
+    lambda: generate_pd_tbt(3, 4, seed=3),
+    lambda: gaussian_kernel(6, 6, 2.0),
+], ids=["1x9", "9x1", "3x4", "gauss6x6-l2"])
+def test_invert_oracle_writes_what_the_whole_tables_give(tmp_path, capsys,
+                                                         make):
+    # The columns are written as the strips are made: the inverse and
+    # factor files and the count are bytewise those of the whole tables.
+    g = make()
+    gen = tmp_path / "g.txt"
+    write_generator(g, gen)
+    counter = OpCounter()
+    f = build_factorization(grc_full(assemble_dense(g), counter))
+    write_dense(inverse_dense(f), tmp_path / "x-want.txt")
+    write_factor(f, tmp_path / "f-want.txt")
+    assert main(["invert", "--input", str(gen), "--method", "oracle",
+                 "--output", str(tmp_path / "x.txt"),
+                 "--factor", str(tmp_path / "f.txt"),
+                 "--counter"]) == EXIT_PASS
+    assert capsys.readouterr().out == \
+        f"mul={counter.mul} add={counter.add} div={counter.div}\n"
+    for name in ("x", "f"):
+        assert ((tmp_path / f"{name}.txt").read_bytes()
+                == (tmp_path / f"{name}-want.txt").read_bytes())
+
+
+def test_invert_oracle_holds_no_strip(tmp_path, capsys, monkeypatch):
+    # Each column is written as its strip is made, so no strip outlives
+    # grc_full.
+    arrays, done = _watch_reference(monkeypatch)
+    gen = tmp_path / "g.txt"
+    write_generator(generate_pd_tbt(3, 2, seed=4), gen)
+    assert main(["invert", "--input", str(gen), "--method", "oracle",
+                 "--output", str(tmp_path / "x.txt")]) == EXIT_PASS
+    assert len(arrays) == 6 and done == [True]
+
+
+def test_invert_oracle_peak_at_12x12(tmp_path, capsys):
+    # The peak is R, the factor and validate_hermitian's temporaries: 5.4
+    # times n^2 complex entries.  Holding every strip until the factor was
+    # built read 53.9.
+    g = generate_pd_tbt(12, 12, seed=1)
+    gen = tmp_path / "g.txt"
+    write_generator(g, gen)
+    argv = ["invert", "--input", str(gen), "--method", "oracle",
+            "--output", str(tmp_path / "x.txt")]
+    main(argv)
+    assert peak_bytes(main, argv) <= 7 * g.n ** 2 * 16
 
 
 def test_run_verify_single_block():

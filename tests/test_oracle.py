@@ -28,8 +28,12 @@ from tbtinv import (
     tbt_factorization,
     unit_band,
 )
+from tbtinv import cli
+from tbtinv.cli import EXIT_INTERNAL, EXIT_NOT_PD, main
+from tbtinv.fileio import write_generator
 from tbtinv.oracle import _TINY, entry_deviation
-from conftest import peak_bytes, random_hermitian_pd, top_of_range
+from conftest import identity_generator, peak_bytes, random_hermitian_pd, \
+    top_of_range
 
 
 def _dense_accessor(r):
@@ -402,9 +406,10 @@ def _random_factor(n, seed):
     return InverseFactor(lower, rng.uniform(0.5, 2.0, size=n))
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 192])
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 63, 64, 65, 129, 191, 192])
 def test_inverse_dense_blocks_agree_with_the_whole_product(n):
-    # Block edges fall inside, on and just past a 64-row block.
+    # Block edges fall inside, on and just past a 16-row block, and on
+    # n = 192 and one short of it, where solve-many's inverse ends.
     f = _random_factor(n, seed=n)
     x = inverse_dense(f)
     assert np.array_equal(x, x.conj().T)
@@ -414,12 +419,12 @@ def test_inverse_dense_blocks_agree_with_the_whole_product(n):
 
 
 def test_inverse_dense_holds_one_block_row_besides_its_output():
-    # At n = 192 the peak reads 1.56 outputs: one 64 x 192 block row and
-    # numpy's buffers for it.  The whole product with its conjugate copies
-    # read 3.2.
+    # At n = 192 the peak reads 1.18 outputs: one 16 x 192 block row and
+    # numpy's buffers for it.  64-row blocks read 1.56, and the whole
+    # product with its conjugate copies 3.2.
     f = tbt_factorization(generate_pd_tbt(4, 48, seed=1))
     inverse_dense(f)
-    assert peak_bytes(inverse_dense, f) <= 2 * f.n ** 2 * 16
+    assert peak_bytes(inverse_dense, f) <= 1.3 * f.n ** 2 * 16
 
 
 def test_inverse_dense_past_range_is_breakdown():
@@ -660,6 +665,27 @@ def test_grc_full_each_sees_every_distance_before_the_failure(name):
     assert str(streamed.value) == str(whole.value)
     k, l = whole.value.pair
     assert seen == list(range(l - k))
+
+
+@pytest.mark.parametrize("name", FAILING)
+def test_invert_oracle_fails_like_the_whole_tables(tmp_path, capsys,
+                                                   monkeypatch, name):
+    # invert --method oracle writes each column as its strip is made; on a
+    # failing matrix it raises what the factor of the whole tables raises,
+    # with the same message and exit status.
+    r = FAILING[name]
+    with pytest.raises((NotPositiveDefinite, NumericalBreakdown)) as whole:
+        build_factorization(grc_full(r))
+    gen = tmp_path / "g.txt"
+    write_generator(identity_generator(len(r), 1), gen)
+    monkeypatch.setattr(cli, "assemble_dense", lambda g: r)
+    status = main(["invert", "--input", str(gen), "--method", "oracle",
+                   "--output", str(tmp_path / "x.txt")])
+    if isinstance(whole.value, NotPositiveDefinite):
+        want = EXIT_NOT_PD, f"not positive definite: {whole.value}\n"
+    else:
+        want = EXIT_INTERNAL, f"NumericalBreakdown: {whole.value}\n"
+    assert (status, capsys.readouterr().err) == want
 
 
 @pytest.mark.parametrize("n,want", [(1, (0, 0, 0)), (2, (6, 3, 2)),
