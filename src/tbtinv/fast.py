@@ -78,19 +78,6 @@ def _source_map(n1: int) -> tuple:
     return tuple(map(tuple, np.minimum(k0, mk).tolist()))
 
 
-def _source(t: CanonicalTables, k0: int, w: int) -> tuple:
-    """``(s, e)``: the row s of the stored pair that serves (k0, k0 + w),
-    k0 < n1, by :func:`_source_map`, and its cell e: the pair itself when
-    s == k0, else its mirror.
-    """
-    s = _source_map(t.g.n1)[w % t.g.n1][k0]
-    e = t.entries.get((s, s + w))
-    if e is None:
-        raise InternalIndexError(f"pair ({k0}, {k0 + w}) has no stored "
-                                 f"value at ({s}, {s + w})")
-    return s, e
-
-
 def _mirror_values(a, ap, v, vp, p, q):
     """The six values of a pair from those of its stored mirror, for one
     cell or for stacked rows (polynomial coefficients on the last axis).
@@ -121,10 +108,10 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
     the whole loop.
 
     Column c = n-1-w of the inverse factor is the full-width cell
-    (c, n-1), so it is complete with distance w: once that distance is
-    done, :func:`~tbtinv.oracle.write_column` writes it from the cell
-    :func:`_source` serves it from, the p and vp of a direct cell or
-    those :func:`_mirror_values` gives a mirrored one.  The factor is
+    (c, n-1), complete with distance w.  Its block shift, pair c mod n1,
+    is always served by row 0, so :func:`~tbtinv.oracle.write_column`
+    writes it from cell (0, w): the p and vp when c mod n1 = 0, else
+    those :func:`_mirror_values` gives the mirror.  The factor is
     returned as the tables' ``factor``.
 
     By default every stored cell is kept.  With ``factor_only``, the
@@ -152,8 +139,8 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
                 t.entries[(k, l)] = grc_step(left.p, below.q, below.v,
                                              left.vp, m, k, l, counter)
             c = n - 1 - w
-            s, e = _source(t, c % n1, w)
-            if s == c % n1:
+            e = t.entries[(0, w)]
+            if c % n1 == 0:
                 write_column(lower, diag, c, e.p.coeff, e.vp)
             else:
                 write_column(lower, diag, c, np.conj(e.q.coeff[::-1]), e.v)
@@ -168,15 +155,19 @@ def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
     """Table values for any pair (k, l), stored or not.
 
     A whole-block shift keeps the values of a cell, so (k, l) has the
-    values of (k0, k0 + l - k), k0 = k mod n1, which :func:`_source`
-    serves from storage or from its stored mirror.  A stored pair is
-    returned as stored; any other is built on the support [k, l].
+    values of (k0, k0 + l - k), k0 = k mod n1, served from the stored
+    pair :func:`_source_map` names, itself or its mirror.  A stored pair
+    is returned as stored; any other is built on the support [k, l].
     """
     n1, n = t.g.n1, t.g.n
     if not (0 <= k <= l <= n - 1):
         raise IndexError(f"pair ({k}, {l}) outside a {n} x {n} table")
-    k0 = k % n1
-    s, e = _source(t, k0, l - k)
+    k0, w = k % n1, l - k
+    s = _source_map(n1)[w % n1][k0]
+    e = t.entries.get((s, s + w))
+    if e is None:
+        raise InternalIndexError(f"pair ({k}, {l}) has no stored value "
+                                 f"at ({s}, {s + w})")
     if s == k:
         return e
     a, ap, v, vp, p, q = e.a, e.ap, e.v, e.vp, e.p.coeff, e.q.coeff
@@ -215,14 +206,14 @@ def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip:
     rows min(n1, n - w).  The first gather stacks the distinct stored
     cells of the distance, each read once, :func:`_mirror_values` mirrors
     them all at once, and the second expands the direct and mirrored rows
-    to the n - w rows of the strip.  A stored cell read off the support
-    of its pair raises InternalIndexError.
+    to the n - w rows of the strip, each head read by its own key.  A
+    missing head, or one off its pair's support, raises InternalIndexError.
     """
     n1, n = t.g.n1, t.g.n
     if not 0 <= w <= n - 1:
         raise IndexError(f"distance {w} outside a {n} x {n} table")
     heads, first = _strip_plan(n1, w % n1, min(n1, n - w))
-    read = stack_cells([_source(t, k, w)[1] for k in heads], heads, w)
+    read = stack_cells([t.entries.get((k, k + w)) for k in heads], heads, w)
     at = first[np.arange(n - w) % n1]
     both = zip(read, _mirror_values(*read))
     return _frozen(GrcStrip(*(np.concatenate(pair)[at] for pair in both)))

@@ -342,9 +342,11 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None, *,
 
 def stack_cells(cells: list, heads, w: int) -> GrcStrip:
     """The strip of the cells (k, k + w), k running over ``heads``.  A
-    mirror or block shift keeps a pair's support, so a p or q support
-    other than [k, k + w] is an index bug: InternalIndexError."""
+    mirror or block shift keeps a pair's support, so a missing cell or
+    a support other than [k, k + w] is an index bug: InternalIndexError."""
     for k, e in zip(heads, cells):
+        if e is None:
+            raise InternalIndexError(f"cell ({k}, {k + w}) is not stored")
         if (e.p.lo, e.p.hi, e.q.lo, e.q.hi) != (k, k + w, k, k + w):
             raise InternalIndexError(f"cell ({k}, {k + w}) has supports "
                                      f"{e.p.lo, e.p.hi} / {e.q.lo, e.q.hi}")

@@ -175,6 +175,17 @@ def test_reads_do_not_recompute_the_storage_rule(monkeypatch):
         assert np.array_equal(got.diag, want.diag)
 
 
+def test_factor_column_is_served_by_row_zero():
+    # Full-width cell (n-1-w, n-1) is the block shift of pair
+    # (n-1-w) mod n1 = (-1-w) mod n1 of distance w, and the map serves that
+    # pair from row 0 at every distance: tbt_grc writes each factor column
+    # from cell (0, w).
+    for n1 in range(1, 70):
+        src = tbtinv.fast._source_map(n1)
+        for w in range(2 * n1):
+            assert src[w % n1][(-1 - w) % n1] == 0, (n1, w)
+
+
 def _fetched_strip(t, w):
     heads = range(t.g.n - w)
     return stack_cells([fetch(t, k, k + w) for k in heads], heads, w)
@@ -505,6 +516,8 @@ def test_factorization_rejects_tables_of_another_generator():
     for other in (generate_pd_tbt(2, 3, seed=2), generate_pd_tbt(3, 2, seed=1)):
         with pytest.raises(ValueError, match="another generator"):
             tbt_factorization(g, tables=tbt_grc(other))
+    with pytest.raises(ValueError, match="hold no factor"):
+        tbt_factorization(g, tables=CanonicalTables(g, {}))
 
 
 def test_factorization_residual():
