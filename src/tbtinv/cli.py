@@ -79,14 +79,16 @@ def run_verify(g: TbtGenerator,
     strip is compared, as :func:`~tbtinv.oracle.grc_full` makes it, with
     the fast tables' strip of its distance, read through
     :func:`~tbtinv.fast.fetch_strip` (a stored cell off its support raises
-    InternalIndexError), so at most two reference strips are held at once
-    and the memory is that of the fast tables and R.  Then it measures the
-    materialized-inverse residual and
-    (for n2 >= 2) the baseline's normal-equation residual.  Without a
-    tolerance, every check must hold to max(1e-8, cond(R) * n * eps), the
-    accuracy a backward-stable solver can promise on R (cond is taken on
-    :func:`~tbtinv.core.unit_scaled` R); at 1 or more, the input is beyond
-    working precision and :class:`BeyondWorkingPrecision` is raised first.
+    InternalIndexError), so at most two reference strips are held at once:
+    the peak is the fast tables, R and the strips of one distance in work.
+    The tables are dropped once the factor is read from them, so the
+    materialized-inverse residual holds R, the factor and then the
+    inverse, and R X.  Then it measures (for n2 >= 2) the baseline's
+    normal-equation residual.  Without a tolerance, every check must hold
+    to max(1e-8, cond(R) * n * eps), the accuracy a backward-stable solver
+    can promise on R (cond is taken on :func:`~tbtinv.core.unit_scaled`
+    R); at 1 or more, the input is beyond working precision and
+    :class:`BeyondWorkingPrecision` is raised first.
     """
     n = g.n
     r = assemble_dense(g)
@@ -100,8 +102,14 @@ def run_verify(g: TbtGenerator,
     grc_full(r, each=lambda w, strip: devs.append(
         cells_deviation(fetch_strip(tables, w), strip)))
     dev = max(devs)
-    inverse = inverse_dense(tbt_factorization(g, tables=tables))
-    resid = float(np.linalg.norm(r @ inverse - np.eye(n)) / np.sqrt(n))
+    factor = tbt_factorization(g, tables=tables)
+    del tables  # the half-table; the inverse needs only the factor
+    inverse = inverse_dense(factor)
+    del factor
+    x = r @ inverse
+    del inverse
+    x.flat[::n + 1] -= 1  # R X - I in place
+    resid = float(np.linalg.norm(x) / np.sqrt(n))
     wwr_rel = None
     if g.n2 >= 2:
         _, wwr_rel = _wwr_residuals(g, wwr_recurse(g)[-1], r)

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Rows per block of the whole-matrix passes (assembly, the Hermitian test,
+# the dense inverse), so none holds an n x n temporary.
+_ROW_BLOCK = 16
+
 
 class _CellError(Exception):
     """An error whose ``pair`` identifies the (k, l) cell at which it
@@ -154,10 +158,17 @@ def _lookup(g: TbtGenerator, d: int | np.ndarray,
 
 
 def assemble_dense(g: TbtGenerator) -> np.ndarray:
-    """Materialize the full n x n matrix of ``g`` (exactly Hermitian)."""
-    block, within = np.divmod(np.arange(g.n), g.n1)
-    return _lookup(g, block[None, :] - block[:, None],
-                   within[None, :] - within[:, None])
+    """Materialize the full n x n matrix of ``g`` (exactly Hermitian), by
+    blocks of ``_ROW_BLOCK`` rows, so :func:`_lookup`'s index and value
+    temporaries are those of one block."""
+    n = g.n
+    block, within = np.divmod(np.arange(n), g.n1)
+    r = np.empty((n, n), dtype=complex)
+    for i in range(0, n, _ROW_BLOCK):
+        rows = slice(i, i + _ROW_BLOCK)
+        r[rows] = _lookup(g, block[None, :] - block[rows, None],
+                          within[None, :] - within[rows, None])
+    return r
 
 
 def column_accessor(g: TbtGenerator):
@@ -184,25 +195,44 @@ def column_accessor(g: TbtGenerator):
 
 def validate_hermitian(a: np.ndarray) -> np.ndarray:
     """Check that ``a`` is square Hermitian within 1e-12 relative to
-    max|a|, the deviation taken on :func:`unit_scaled` a, so the test is
-    the same at every scale."""
+    max|a|, the deviation taken on a * 2**-e, e as :func:`unit_scaled`
+    takes it, so the test is the same at every scale.  Each pass runs by
+    blocks of ``_ROW_BLOCK`` rows, each set against the same columns, so
+    no n x n temporary is made."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite")
-    scaled, e = unit_scaled(a)
-    dev = np.abs(scaled - scaled.conj().T).max(initial=0.0)
+    blocks = range(0, a.shape[0], _ROW_BLOCK)
+    top = 0.0
+    for i in blocks:
+        rows = a[i:i + _ROW_BLOCK]
+        if not np.isfinite(rows).all():
+            raise ValueError("matrix entries must be finite")
+        top = max(top, np.abs(rows).max())
+    e = _exponent(top)
+    scale = np.ldexp(1.0, -e)
+    dev = 0.0
+    for i in blocks:
+        rows = a[i:i + _ROW_BLOCK] * scale
+        cols = a[:, i:i + _ROW_BLOCK] * scale
+        rows -= np.conjugate(cols, out=cols).T
+        dev = max(dev, np.abs(rows).max())
     if dev > 1e-12:
         raise ValueError(f"matrix is not Hermitian (deviation "
                          f"{np.ldexp(dev, e):g})")
     return a
 
 
+def _exponent(top: float) -> int:
+    """The binary exponent of a finite top >= 0, but at least -1023, as
+    2.0 ** 1024 overflows."""
+    return max(int(np.frexp(top)[1]), -1023)
+
+
 def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """x * 2**-e and e, e the binary exponent of a finite max|x| but at least
-    -1023, as 2.0 ** 1024 overflows.  Exact for entries that stay normal."""
-    e = max(int(np.frexp(np.abs(x).max(initial=0.0))[1]), -1023)
+    """x * 2**-e and e, e the :func:`_exponent` of a finite max|x|.  Exact
+    for entries that stay normal."""
+    e = _exponent(np.abs(x).max(initial=0.0))
     return x * np.ldexp(1.0, -e), e
 
 

@@ -31,6 +31,7 @@ from .core import (
     NotPositiveDefinite,
     NumericalBreakdown,
     OpCounter,
+    _ROW_BLOCK,
     _band,
     column_inner,
     unit_scaled,
@@ -44,10 +45,8 @@ PD_TOL = 1e3 * np.finfo(float).eps
 
 _TINY = 1e-300
 
-# Rows per block of the factor's checks and of the dense inverse, so
-# neither holds an n x n temporary.
+# Rows per block of the factor's checks, so they hold no n x n temporary.
 _BLOCK = 64
-_INVERSE_BLOCK = 16
 
 
 class GrcEntry(NamedTuple):
@@ -246,16 +245,17 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
     Row k is :func:`grc_step` at (k, k + w): it reads the (k, l-1) forward
     polynomial from row k of ``prev`` and the (k+1, l) backward one from
     row k + 1, and ``seg[k, i] = R[k+i, k+w]`` is the column segment its
-    inner product takes.  Both polynomial updates are one expression,
-    x - [a; a'] x[::-1], on one zeroed 2 x r x (w+1) array x holding the
-    forward predecessors padded right and the backward ones padded left;
-    the forward head and the backward tail are exactly 1, so each entry is
-    the same rounding as :func:`grc_step`'s, and the new p and q are the
-    two halves of x.  Every check of the step is made on the whole strip
-    at once, by one reduction each; only when one fails is it made row by
-    row, and the first failing row raises what the cell-by-cell recursion
-    raises there.  A completed strip charges ``counter`` what its steps
-    would, by :func:`_charge`.
+    inner product takes.  One zeroed 2 x r x (w+1) array x holds the
+    forward predecessors padded right and the backward ones padded left.
+    Both products, a x[1] and a' x[0], are taken from the predecessors,
+    then each is subtracted from its own half in place, so the update
+    holds one x of temporaries.  The forward head and the backward tail are
+    exactly 1, so each entry is the same rounding as :func:`grc_step`'s,
+    and the new p and q are the two halves of x.  Every check of the step
+    is made on the whole strip at once, by one reduction each; only when
+    one fails is it made row by row, and the first failing row raises what
+    the cell-by-cell recursion raises there.  A completed strip charges
+    ``counter`` what its steps would, by :func:`_charge`.
     """
     p_hat, vp_hat = prev.p[:-1], prev.vp[:-1]
     q_hat, v_hat = prev.q[1:], prev.v[1:]
@@ -267,7 +267,9 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
     x = np.zeros((2, len(seg), w + 1), dtype=complex)
     x[0, :, :w] = p_hat
     x[1, :, 1:] = q_hat
-    x -= np.array((a, ap))[..., None] * x[::-1]
+    t0, t1 = a[:, None] * x[1], ap[:, None] * x[0]
+    x[0] -= t0
+    x[1] -= t1
     # A minimum is NaN when any value is, so each test fails on NaN too.
     if not (v_hat.min() > _TINY and vp_hat.min() > _TINY and gr.min() > PD_TOL
             and _finite(growth) and _finite(x)):
@@ -364,12 +366,13 @@ def cells_deviation(got: GrcStrip, want: GrcStrip) -> float:
     all six quantities is returned.  Strips whose polynomials differ in
     shape have different supports and are infinitely apart.  The four
     scalars of every row are compared as one 4 x r array, and the p and q
-    rows as one 2r x (w+1) array.  Scalar moduli are ``np.hypot`` of the
-    parts, which rounds like the scalar ``abs`` of a complex number.  A
-    correctly rounded quotient by a positive divisor is monotone in the
-    dividend, so every entry of a row is divided by the row's divisor and
-    one maximum taken over all of them: no maximum per row is taken of the
-    differences, and the value is the same.
+    rows as one 2r x (w+1) array of moduli, filled half by half, so no
+    complex copy of both strips is made.  Scalar moduli are ``np.hypot``
+    of the parts, which rounds like the scalar ``abs`` of a complex
+    number.  A correctly rounded quotient by a positive divisor is
+    monotone in the dividend, so every entry of a row is divided by the
+    row's divisor and one maximum taken over all of them: no maximum per
+    row is taken of the differences, and the value is the same.
     """
     if (got.p.shape, got.q.shape) != (want.p.shape, want.q.shape):
         return float("inf")
@@ -377,10 +380,13 @@ def cells_deviation(got: GrcStrip, want: GrcStrip) -> float:
     x -= y
     scalar = np.hypot(x.real, x.imag)
     scalar /= np.maximum(np.hypot(y.real, y.imag), 1.0)
-    x, y = (np.concatenate((s.p, s.q)) for s in (got, want))
-    x -= y
-    poly = np.abs(x)
-    poly /= np.maximum(np.abs(y).max(axis=1, keepdims=True), 1.0)
+    r = len(want.p)
+    poly = np.empty((2 * r, want.p.shape[1]))
+    top = np.empty((2 * r, 1))
+    for i, x, y in ((0, got.p, want.p), (r, got.q, want.q)):
+        np.abs(x - y, out=poly[i:i + r])
+        np.abs(y).max(axis=1, keepdims=True, out=top[i:i + r])
+    poly /= np.maximum(top, 1.0, out=top)
     return float(max(scalar.max(), poly.max()))
 
 
@@ -483,7 +489,7 @@ def apply_inverse(f: InverseFactor, b) -> np.ndarray:
 def inverse_dense(f: InverseFactor) -> np.ndarray:
     """Materialize the full inverse F diag^-1 F^H, exactly Hermitian.
 
-    It is computed straight into its output by blocks of ``_INVERSE_BLOCK``
+    It is computed straight into its output by blocks of ``_ROW_BLOCK``
     rows, only the lower block triangle: rows i..j-1 up to column j-1 are
     the conjugate of conj(F[i:j, :j]) diag^-1 F[:j, :j]^T, which reads F
     only up to the block's last column (its upper triangle is zero), about
@@ -496,8 +502,8 @@ def inverse_dense(f: InverseFactor) -> np.ndarray:
     n = f.n
     x = np.empty((n, n), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, n, _INVERSE_BLOCK):
-            j = min(i + _INVERSE_BLOCK, n)
+        for i in range(0, n, _ROW_BLOCK):
+            j = min(i + _ROW_BLOCK, n)
             rows = np.conj(f.lower[i:j, :j])
             rows /= f.diag[:j]
             out = x[i:j, :j]  # the block's conjugate, until conjugated

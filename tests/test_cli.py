@@ -456,6 +456,27 @@ def test_run_verify_releases_reference_before_the_factor(monkeypatch):
     assert len(arrays) == 6 and done == [True]
 
 
+def test_run_verify_releases_the_fast_tables_before_the_inverse(monkeypatch):
+    # The inverse reads only the factor, so the half-table is gone when
+    # inverse_dense runs.
+    tables, seen = [], []
+    fast, inverse = cli.tbt_grc, cli.inverse_dense
+
+    def kept(g):
+        t = fast(g)
+        tables.append(weakref.ref(t))
+        return t
+
+    def checked(f):
+        seen.append(tables[0]() is None)
+        return inverse(f)
+
+    monkeypatch.setattr(cli, "tbt_grc", kept)
+    monkeypatch.setattr(cli, "inverse_dense", checked)
+    assert run_verify(generate_pd_tbt(3, 2, seed=4)).passed
+    assert len(tables) == 1 and seen == [True]
+
+
 def test_run_verify_drops_each_reference_strip_once_compared(monkeypatch):
     # The fast tables hold the factor during the comparison, so the
     # reference holds only the strip the next distance reads: when
@@ -479,13 +500,14 @@ def test_run_verify_drops_each_reference_strip_once_compared(monkeypatch):
 
 
 def test_run_verify_peak_at_12x12_is_the_fast_tables_and_r():
-    # 1.45 times the fast tables' own peak: the reference streams into
-    # the comparison, two strips at a time; holding every reference strip
-    # read 6.7.  The first calls are left out: they also fill caches.
+    # 1.28 times the fast tables' own peak: the fast tables, R and the
+    # strips of one distance.  Whole-size temporaries beside the tables
+    # (validate_hermitian's, R X - I) read 1.45, holding every reference
+    # strip 6.7.  The first calls are left out: they also fill caches.
     g = generate_pd_tbt(12, 12, seed=1)
     run_verify(g)
     tbt_grc(g)
-    assert peak_bytes(run_verify, g) <= 2 * peak_bytes(tbt_grc, g)
+    assert peak_bytes(run_verify, g) <= 1.4 * peak_bytes(tbt_grc, g)
 
 
 @pytest.mark.parametrize("make", [
@@ -528,16 +550,17 @@ def test_invert_oracle_holds_no_strip(tmp_path, capsys, monkeypatch):
 
 
 def test_invert_oracle_peak_at_12x12(tmp_path, capsys):
-    # The peak is R, the factor and validate_hermitian's temporaries: 5.4
-    # times n^2 complex entries.  Holding every strip until the factor was
-    # built read 53.9.
+    # The peak is R, the factor and the strips of one distance: 3.84 times
+    # n^2 complex entries.  Whole-matrix temporaries in assemble_dense and
+    # validate_hermitian read 5.4, holding every strip until the factor
+    # was built 53.9.
     g = generate_pd_tbt(12, 12, seed=1)
     gen = tmp_path / "g.txt"
     write_generator(g, gen)
     argv = ["invert", "--input", str(gen), "--method", "oracle",
             "--output", str(tmp_path / "x.txt")]
     main(argv)
-    assert peak_bytes(main, argv) <= 7 * g.n ** 2 * 16
+    assert peak_bytes(main, argv) <= 4.5 * g.n ** 2 * 16
 
 
 def test_run_verify_single_block():

@@ -329,3 +329,24 @@ def test_validate_hermitian_is_relative_at_every_scale():
     r = assemble_dense(generate_pd_tbt(3, 3, seed=4))
     for scale in (1e-300, 1.0, 1e300):
         assert np.array_equal(validate_hermitian(r * scale), r * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33])
+def test_validate_hermitian_by_blocks_is_the_whole_matrix_test(n, scale):
+    # The test runs by 16-row blocks.  One asymmetric entry in the last
+    # row, so in the last (partial) block, gives the message of the
+    # whole-matrix test on unit_scaled a.
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = (a + a.conj().T) * scale
+    assert validate_hermitian(a) is a
+    if not n:
+        return
+    a[n - 1, 0] += 1e-6j * scale
+    scaled, e = unit_scaled(a)
+    dev = np.abs(scaled - scaled.conj().T).max()
+    with pytest.raises(ValueError) as err:
+        validate_hermitian(a)
+    assert str(err.value) == \
+        f"matrix is not Hermitian (deviation {np.ldexp(dev, e):g})"

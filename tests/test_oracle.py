@@ -31,7 +31,7 @@ from tbtinv import (
 from tbtinv import cli
 from tbtinv.cli import EXIT_INTERNAL, EXIT_NOT_PD, main
 from tbtinv.fileio import write_generator
-from tbtinv.oracle import _TINY, entry_deviation
+from tbtinv.oracle import _TINY, cells_deviation, entry_deviation
 from conftest import identity_generator, peak_bytes, random_hermitian_pd, \
     top_of_range
 
@@ -481,6 +481,17 @@ def test_table_reads_outside_and_across_distances():
     # Two well-formed cells of different distances: their strips differ in
     # shape, so they are infinitely apart.
     assert entry_deviation(ref.get(0, 2), ref.get(0, 3)) == np.inf
+
+
+def test_cells_deviation_finds_a_worst_entry_in_q():
+    # p and q are compared one after the other; the worst entry of the
+    # strip lies in q, so its deviation is returned, not p's.
+    want = grc_full(random_hermitian_pd(6, seed=2)).strips[3]
+    p, q = want.p.copy(), want.q.copy()
+    p[0, 1] += 1e-9
+    q[1, 2] += 1e-3
+    worst = abs(q[1, 2] - want.q[1, 2]) / max(1.0, np.abs(want.q[1]).max())
+    assert cells_deviation(want._replace(p=p, q=q), want) == worst > 1e-4
 
 
 def test_build_factorization_bound_does_not_overflow():
