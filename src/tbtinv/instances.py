@@ -19,7 +19,10 @@ Output i, counted from 0, thus mixes the state seed + (i + 1) * gamma,
 gamma = 0x9E3779B97F4A7C15.  Each output is mapped to a double in [0, 1)
 from its top 53 bits, then to [-1, 1) as 2u - 1.  The field x(u, v) on
 the (n1+L) x (n2+L) grid, L = max(n1, n2), takes real then imaginary part
-from consecutive outputs, v fastest.
+from consecutive outputs, v fastest.  Lag (d, s) is the sum of
+x(u, v + d) conj(x(u - s, v)) over the grid points where both lie on it,
+divided by the grid's size; each sum is one elementwise product reduced by
+numpy's pairwise add, and that order fixes its bits.
 
 These instances are always well conditioned; :func:`gaussian_kernel` is
 the badly conditioned family.
@@ -47,14 +50,17 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-def _lag_sum(x: np.ndarray, d: int, s: int) -> complex:
-    """Zero-padded correlation sum over the field at block lag d >= 0."""
-    nu, nv = x.shape
-    u0 = max(0, s)
-    u1 = nu + min(0, s)
-    a = x[u0:u1, d:]
-    b = x[u0 - s:u1 - s, :nv - d]
-    return complex(np.sum(a * np.conj(b)))
+def _size(name: str, n) -> int:
+    """Block size ``n`` as an int (numpy integers too): a TypeError naming
+    it for any other type, a float included, and a ValueError below 1."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"size {name} must be an integer, "
+                        f"not {type(n).__name__}") from None
+    if n < 1:
+        raise ValueError("sizes must be >= 1")
+    return n
 
 
 def generate_pd_tbt(n1: int, n2: int, seed: int,
@@ -65,8 +71,7 @@ def generate_pd_tbt(n1: int, n2: int, seed: int,
     default is large enough to survive double-precision accumulation and
     small enough not to mask algorithmic errors.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("sizes must be >= 1")
+    n1, n2 = _size("n1", n1), _size("n2", n2)
     if not (ridge > 0.0 and np.isfinite(ridge)):
         raise ValueError("ridge must be positive and finite")
     pad = max(n1, n2)
@@ -76,9 +81,15 @@ def generate_pd_tbt(n1: int, n2: int, seed: int,
     total = nu * nv
     c = np.zeros((n2, 2 * n1 - 1), dtype=complex)
     mid = n1 - 1
+    # One product and one pairwise np.add.reduce per lag: batched sums
+    # (reduceat) or FFT correlation would change the instances' bits.
+    xc = np.conj(x)
     for d in range(n2):
+        a, b = x[:, d:], xc[:, :nv - d]
         for s in range(1 if d == 0 else 1 - n1, n1):
-            c[d, mid + s] = _lag_sum(x, d, s) / total
+            u0, u1 = max(0, s), nu + min(0, s)
+            prod = a[u0:u1] * b[u0 - s:u1 - s]
+            c[d, mid + s] = complex(np.add.reduce(prod, axis=None)) / total
     # Hermitian row 0 and an exactly real zero lag, by construction.
     c[0, :mid] = np.conj(c[0, mid + 1:])[::-1]
     c00 = float(np.sum(np.abs(x) ** 2)) / total
@@ -100,8 +111,7 @@ def gaussian_kernel(n1: int, n2: int, ell: float) -> TbtGenerator:
     Above that, an exponent that overflows to -inf gives exp(-inf) = 0,
     the exact limit, so that overflow is silenced.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("sizes must be >= 1")
+    n1, n2 = _size("n1", n1), _size("n2", n2)
     if not ell > 0.0:
         raise ValueError("length scale must be positive")
     x = float(ell)

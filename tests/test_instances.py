@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from tbtinv import assemble_dense, gaussian_kernel, generate_pd_tbt, \
     grc_full, tbt_grc
 from tbtinv.fileio import format_generator
-from tbtinv.instances import _lag_sum, splitmix64
+from tbtinv.instances import splitmix64
 
 
 def test_splitmix_known_stream():
@@ -18,6 +18,16 @@ def test_splitmix_unit_range():
     vals = (splitmix64(123, 1000) >> 11) * 2.0 ** -53
     assert all(0.0 <= v < 1.0 for v in vals)
     assert all(-1.0 <= v < 1.0 for v in 2.0 * vals - 1.0)
+
+
+def lag_sum(x, d, s):
+    """Zero-padded correlation sum over the field at block lag d >= 0."""
+    nu, nv = x.shape
+    u0 = max(0, s)
+    u1 = nu + min(0, s)
+    a = x[u0:u1, d:]
+    b = x[u0 - s:u1 - s, :nv - d]
+    return complex(np.sum(a * np.conj(b)))
 
 
 def per_draw_generator(n1, n2, seed, ridge=1e-6):
@@ -45,7 +55,7 @@ def per_draw_generator(n1, n2, seed, ridge=1e-6):
     mid = n1 - 1
     for d in range(n2):
         for s in range(0 if d == 0 else -mid, n1):
-            c[d, mid + s] = _lag_sum(x, d, s) / (nu * nv)
+            c[d, mid + s] = lag_sum(x, d, s) / (nu * nv)
     c[0, :mid] = np.conj(c[0, mid + 1:])[::-1]
     c[0, mid] = float(np.sum(np.abs(x) ** 2)) / (nu * nv) * (1.0 + ridge)
     return c
@@ -58,6 +68,17 @@ def per_draw_generator(n1, n2, seed, ridge=1e-6):
 @example(n1=1, n2=1, seed=0)
 @example(n1=6, n2=6, seed=2**70 + 3)
 def test_instances_match_the_per_draw_generator(n1, n2, seed):
+    assert (generate_pd_tbt(n1, n2, seed).c.tobytes()
+            == per_draw_generator(n1, n2, seed).tobytes())
+
+
+# The benchmark's instances: factor-square, solve-many, verify-sweep.
+@pytest.mark.parametrize("n1,n2,seed",
+                         [(16, 16, 65536 + i) for i in range(4)]
+                         + [(4, 48, 65536)]
+                         + [(n1, n2, 65536 + i) for i, (n1, n2) in enumerate(
+                             [(1, 64), (64, 1), (4, 16), (16, 4), (8, 8)])])
+def test_benchmark_instances_match_the_per_draw_generator(n1, n2, seed):
     assert (generate_pd_tbt(n1, n2, seed).c.tobytes()
             == per_draw_generator(n1, n2, seed).tobytes())
 
@@ -103,6 +124,12 @@ def test_large_ridge_dominates():
 def test_generate_validation():
     with pytest.raises(ValueError):
         generate_pd_tbt(0, 2, seed=1)
+    with pytest.raises(TypeError, match="n1"):
+        generate_pd_tbt(2.5, 3, seed=1)
+    with pytest.raises(TypeError, match="n2"):
+        generate_pd_tbt(2, 3.0, seed=1)
+    assert (generate_pd_tbt(np.int64(2), np.uint8(3), 1).c.tobytes()
+            == generate_pd_tbt(2, 3, 1).c.tobytes())
     for ridge in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="ridge"):
             generate_pd_tbt(2, 2, seed=1, ridge=ridge)
@@ -129,6 +156,15 @@ def test_gaussian_kernel_rejects_bad_arguments(args):
     # the smallest normal float it loses precision and then reaches 0.
     with pytest.raises(ValueError):
         gaussian_kernel(*args)
+
+
+def test_gaussian_kernel_sizes_are_integers():
+    with pytest.raises(TypeError, match="n1"):
+        gaussian_kernel(2.0, 2, 1.0)
+    with pytest.raises(TypeError, match="n2"):
+        gaussian_kernel(2, 1.5, 1.0)
+    assert np.array_equal(gaussian_kernel(np.int32(2), np.int64(3), 1.0).c,
+                          gaussian_kernel(2, 3, 1.0).c)
 
 
 @pytest.mark.parametrize("ell", [1e-150, 1.1e-154])
