@@ -27,7 +27,7 @@ from . import costmodel, fileio
 from .core import FactorizationMismatch, InternalIndexError, \
     NotPositiveDefinite, NumericalBreakdown, OpCounter, TbtGenerator, \
     assemble_dense, unit_scaled
-from .fast import fetch_strip, tbt_factorization, tbt_grc
+from .fast import drop_distance, fetch_strip, tbt_factorization, tbt_grc
 from .instances import generate_pd_tbt
 from .oracle import _column_sink, cells_deviation, grc_full, inverse_dense
 from .wwr import WwrState, normal_system, wwr_recurse, wwr_residual
@@ -79,8 +79,12 @@ def run_verify(g: TbtGenerator,
     strip is compared, as :func:`~tbtinv.oracle.grc_full` makes it, with
     the fast tables' strip of its distance, read through
     :func:`~tbtinv.fast.fetch_strip` (a stored cell off its support raises
-    InternalIndexError), so at most two reference strips are held at once:
-    the peak is the fast tables, R and the strips of one distance in work.
+    InternalIndexError), and that distance's fast cells are then dropped
+    by :func:`~tbtinv.fast.drop_distance`, so at most two reference
+    strips are held at once and the fast tables shrink as the reference
+    grows: the peak is the fast tables less the few distances already
+    compared, R and the strips of one distance, early in the reference
+    (distance 13 of 64 at 8 x 8).
     The tables are dropped once the factor is read from them, so the
     materialized-inverse residual holds R, the factor and then the
     inverse, and R X.  Then it measures (for n2 >= 2) the baseline's
@@ -99,8 +103,12 @@ def run_verify(g: TbtGenerator,
         tolerance = max(1e-8, scaled)
     tables = tbt_grc(g)
     devs = []
-    grc_full(r, each=lambda w, strip: devs.append(
-        cells_deviation(fetch_strip(tables, w), strip)))
+
+    def compare(w, strip):
+        devs.append(cells_deviation(fetch_strip(tables, w), strip))
+        drop_distance(tables, w)  # read once; the factor is kept
+
+    grc_full(r, each=compare)
     dev = max(devs)
     factor = tbt_factorization(g, tables=tables)
     del tables  # the half-table; the inverse needs only the factor

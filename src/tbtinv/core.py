@@ -198,7 +198,9 @@ def validate_hermitian(a: np.ndarray) -> np.ndarray:
     max|a|, the deviation taken on a * 2**-e, e as :func:`unit_scaled`
     takes it, so the test is the same at every scale.  Each pass runs by
     blocks of ``_ROW_BLOCK`` rows, each set against the same columns, so
-    no n x n temporary is made."""
+    no n x n temporary is made: the column block is copied transposed
+    once, then scaled and conjugated in place, and the second pass holds
+    that copy and the scaled row block (half of ``a`` at 64 x 64)."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -214,8 +216,10 @@ def validate_hermitian(a: np.ndarray) -> np.ndarray:
     dev = 0.0
     for i in blocks:
         rows = a[i:i + _ROW_BLOCK] * scale
-        cols = a[:, i:i + _ROW_BLOCK] * scale
-        rows -= np.conjugate(cols, out=cols).T
+        cols = a[:, i:i + _ROW_BLOCK].T.copy()  # one copy, then in place
+        cols *= scale
+        rows -= np.conjugate(cols, out=cols)
+        del cols  # gone before the modulus and the next block's rows
         dev = max(dev, np.abs(rows).max())
     if dev > 1e-12:
         raise ValueError(f"matrix is not Hermitian (deviation "

@@ -114,11 +114,11 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
     those :func:`_mirror_values` gives the mirror.  The factor is
     returned as the tables' ``factor``.
 
-    By default every stored cell is kept.  With ``factor_only``, the
-    whole of distance w - 1 is dropped once distance w is done, as no
-    later step or column reads it: the tables end holding only the last
-    distance's cell (0, n-1), and the memory is that of the factor and
-    two distances.  :func:`fetch` of a pair served by a dropped cell
+    By default every stored cell is kept.  With ``factor_only``,
+    :func:`drop_distance` drops distance w - 1 once distance w is done,
+    as no later step or column reads it: the tables end holding only the
+    last distance's cell (0, n-1), and the memory is that of the factor
+    and two distances.  :func:`fetch` of a pair served by a dropped cell
     raises InternalIndexError.
     """
     n1, n = g.n1, g.n
@@ -144,9 +144,8 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
                 write_column(lower, diag, c, e.p.coeff, e.vp)
             else:
                 write_column(lower, diag, c, np.conj(e.q.coeff[::-1]), e.v)
-            if factor_only:  # no later step reads distance w - 1
-                for k in range(n1):
-                    t.entries.pop((k, k + w - 1), None)
+            if factor_only and w:  # no later step reads distance w - 1
+                drop_distance(t, w - 1)
     t.factor = InverseFactor(lower, diag)
     return t
 
@@ -195,6 +194,15 @@ def _strip_plan(n1: int, w0: int, r: int) -> tuple:
                       for k, s in enumerate(src)])
     first.setflags(write=False)
     return heads, first
+
+
+def drop_distance(t: CanonicalTables, w: int) -> None:
+    """Drop the stored cells of distance w, the heads of its
+    :func:`_strip_plan`, once nothing reads them again; the factor is
+    kept.  Each must still be stored (KeyError otherwise)."""
+    n1 = t.g.n1
+    for k in _strip_plan(n1, w % n1, min(n1, t.g.n - w))[0]:
+        del t.entries[(k, k + w)]
 
 
 def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip:

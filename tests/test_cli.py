@@ -499,15 +499,57 @@ def test_run_verify_drops_each_reference_strip_once_compared(monkeypatch):
     assert done == [True]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: generate_pd_tbt(1, 9, seed=3),
+    lambda: generate_pd_tbt(9, 1, seed=3),
+    lambda: generate_pd_tbt(3, 5, seed=3),
+    lambda: generate_pd_tbt(8, 8, seed=3),
+    lambda: gaussian_kernel(8, 8, 2.0),
+], ids=["1x9", "9x1", "3x5", "8x8", "gauss8x8-l2"])
+def test_run_verify_drops_each_fast_distance_once_compared(monkeypatch,
+                                                           make):
+    # No later read needs a compared distance, so the fast tables hold no
+    # cell below distance w when w is compared, and none once the last
+    # is; the deviation is bitwise that of the intact tables.
+    g = make()
+    tables, compared = [], []
+    fast, deviation = cli.tbt_grc, cli.cells_deviation
+
+    def kept(g):
+        tables.append(fast(g))
+        return tables[-1]
+
+    def checked(got, want):
+        w = want.p.shape[1] - 1
+        assert all(l - k >= w for k, l in tables[0].entries), \
+            f"a fast cell below distance {w} outlives its comparison"
+        compared.append(w)
+        return deviation(got, want)
+
+    monkeypatch.setattr(cli, "tbt_grc", kept)
+    monkeypatch.setattr(cli, "cells_deviation", checked)
+    dev = run_verify(g, 1.0).table_deviation
+    assert compared == list(range(g.n)) and tables[0].entries == {}
+    intact = tbt_grc(g)
+    strips = grc_full(assemble_dense(g)).strips
+    want = max(deviation(tbtinv.fast.fetch_strip(intact, w), strip)
+               for w, strip in enumerate(strips))
+    assert np.float64(dev).tobytes() == np.float64(want).tobytes()
+
+
 def test_run_verify_peak_at_12x12_is_the_fast_tables_and_r():
-    # 1.28 times the fast tables' own peak: the fast tables, R and the
-    # strips of one distance.  Whole-size temporaries beside the tables
-    # (validate_hermitian's, R X - I) read 1.45, holding every reference
-    # strip 6.7.  The first calls are left out: they also fill caches.
+    # 1.14 times the fast tables' own peak: the fast tables less the few
+    # distances already compared, R and the strips of one distance, early
+    # in the reference.
+    # Holding every fast distance to the end, with a buffered column
+    # block in validate_hermitian, read 1.28; whole-size temporaries
+    # beside the tables (validate_hermitian's, R X - I) 1.45, holding
+    # every reference strip 6.7.  The first calls are left out: they also
+    # fill caches.
     g = generate_pd_tbt(12, 12, seed=1)
     run_verify(g)
     tbt_grc(g)
-    assert peak_bytes(run_verify, g) <= 1.4 * peak_bytes(tbt_grc, g)
+    assert peak_bytes(run_verify, g) <= 1.24 * peak_bytes(tbt_grc, g)
 
 
 @pytest.mark.parametrize("make", [

@@ -32,6 +32,7 @@ from tbtinv import (
     tbt_grc,
     unit_band,
 )
+from tbtinv.fast import drop_distance
 from tbtinv.oracle import cells_deviation, entry_deviation, stack_cells
 from conftest import identity_generator, peak_bytes, poison_column
 
@@ -449,6 +450,22 @@ def test_kept_tables_hold_exactly_the_factor_pairs(n1, n2):
     for k, l in full.entries.keys() - {last}:
         with pytest.raises(InternalIndexError):
             fetch(t, k, l)
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 6), (6, 1), (3, 5), (4, 4)])
+def test_drop_distance_drops_exactly_that_distances_cells(n1, n2):
+    # Every stored cell of distance w goes, and no other cell or the
+    # factor; a distance dropped twice raises KeyError.
+    g = generate_pd_tbt(n1, n2, seed=n1 + n2)
+    t, full = tbt_grc(g), tbt_grc(g)
+    factor = t.factor
+    for w in range(g.n):
+        drop_distance(t, w)
+        assert t.entries == {(k, l): e for (k, l), e in full.entries.items()
+                             if l - k > w}
+        assert t.factor is factor
+    with pytest.raises(KeyError):
+        drop_distance(t, 0)
 
 
 @pytest.mark.parametrize("n1,n2", [(16, 16), (1, 7), (7, 1)])
