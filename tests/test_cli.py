@@ -540,12 +540,11 @@ def test_run_verify_drops_each_fast_distance_once_compared(monkeypatch,
 def test_run_verify_peak_at_12x12_is_the_fast_tables_and_r():
     # 1.14 times the fast tables' own peak: the fast tables less the few
     # distances already compared, R and the strips of one distance, early
-    # in the reference.
-    # Holding every fast distance to the end, with a buffered column
-    # block in validate_hermitian, read 1.28; whole-size temporaries
-    # beside the tables (validate_hermitian's, R X - I) 1.45, holding
-    # every reference strip 6.7.  The first calls are left out: they also
-    # fill caches.
+    # in the reference.  Holding every fast distance to the end, with a
+    # buffered column block in validate_hermitian, read 1.28; whole-size
+    # temporaries beside the tables (validate_hermitian's, R X - I) 1.45,
+    # holding every reference strip 6.7.  The first calls are left out:
+    # they also fill caches.
     g = generate_pd_tbt(12, 12, seed=1)
     run_verify(g)
     tbt_grc(g)
