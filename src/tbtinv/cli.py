@@ -29,7 +29,8 @@ from .core import FactorizationMismatch, InternalIndexError, \
     assemble_dense, unit_scaled
 from .fast import drop_distance, fetch_strip, tbt_factorization, tbt_grc
 from .instances import generate_pd_tbt
-from .oracle import _column_sink, cells_deviation, grc_full, inverse_dense
+from .oracle import build_factorization, cells_deviation, grc_full, \
+    inverse_dense
 from .wwr import WwrState, normal_system, wwr_recurse, wwr_residual
 
 EXIT_PASS = 0
@@ -207,8 +208,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
     g = fileio.read_generator(args.input)
     counter = OpCounter() if args.counter else None
     if args.method == "oracle":
-        each, done = _column_sink(g.n)  # no strip is held
-        factor = done(grc_full(assemble_dense(g), counter, each=each).matrix)
+        factor = build_factorization(assemble_dense(g), counter)
     else:
         factor = tbt_factorization(g, counter)
     fileio.write_dense(inverse_dense(factor), args.output)

@@ -12,6 +12,7 @@ n1*n2 x n1*n2 matrix is reconstructed from the generator values c(d, s)
 of its first block row.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,19 @@ class OpCounter:
         return self.mul + self.add + self.div
 
 
+def _size(name: str, n) -> int:
+    """Block size ``n`` as an int (numpy integers too): a TypeError naming
+    it for any other type, a float included, and a ValueError below 1."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"size {name} must be an integer, "
+                        f"not {type(n).__name__}") from None
+    if n < 1:
+        raise ValueError("sizes must be >= 1")
+    return n
+
+
 @dataclass(frozen=True)
 class TbtGenerator:
     """Compact description of a Hermitian TBT matrix.
@@ -112,8 +126,8 @@ class TbtGenerator:
     c: np.ndarray
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("block sizes must be positive")
+        object.__setattr__(self, "n1", _size("n1", self.n1))
+        object.__setattr__(self, "n2", _size("n2", self.n2))
         c = np.asarray(self.c, dtype=complex)
         if c.shape != (self.n2, 2 * self.n1 - 1):
             raise ValueError(f"generator table must have shape "

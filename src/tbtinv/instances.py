@@ -32,7 +32,7 @@ import operator
 
 import numpy as np
 
-from .core import TbtGenerator
+from .core import TbtGenerator, _size
 
 _MASK = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -48,19 +48,6 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
     z = (z ^ (z >> 30)) * _MIX1
     z = (z ^ (z >> 27)) * _MIX2
     return z ^ (z >> 31)
-
-
-def _size(name: str, n) -> int:
-    """Block size ``n`` as an int (numpy integers too): a TypeError naming
-    it for any other type, a float included, and a ValueError below 1."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise TypeError(f"size {name} must be an integer, "
-                        f"not {type(n).__name__}") from None
-    if n < 1:
-        raise ValueError("sizes must be >= 1")
-    return n
 
 
 def generate_pd_tbt(n1: int, n2: int, seed: int,

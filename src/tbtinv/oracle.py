@@ -6,8 +6,8 @@ pairs (a, a'), residual scalars (v, v') and forward/backward polynomials
 column-slice accessor (see :func:`~tbtinv.core.column_inner`); the fast
 solver runs it cell by cell.  The dense reference :func:`grc_full` fills
 the full table of a dense matrix diagonal by diagonal, each diagonal (a
-*strip*) in one vectorized :func:`grc_strip_step`, and assembles the
-inverse factorization
+*strip*) in one vectorized :func:`grc_strip_step`, from which
+:func:`build_factorization` writes the inverse factorization
 
     R^-1 = F . diag(d)^-1 . F^H
 
@@ -87,8 +87,8 @@ class CoeffTables:
     """Complete recursion tables for one Hermitian matrix.
 
     ``strips[w]`` holds the cells (k, k + w), k = 0 .. n-1-w, of distance
-    w.  The matrix the tables were computed from is kept so the
-    factorization step can run its verification pass.
+    w (none when made with a callback).  ``matrix`` is the validated R,
+    which :func:`build_factorization` checks its factor against.
     """
 
     n: int
@@ -325,9 +325,10 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None, *,
     By default the tables hold every strip.  With ``each``, each strip is
     handed to ``each(w, strip)`` as it is made, for w = 0 .. n-1 in order,
     and only the strip the next distance reads is kept: the tables
-    returned hold no strips, and the memory is R and two strips.  A step
-    that fails raises after ``each`` has seen every distance before it.
-    The strips and the charge to ``counter`` are the same either way.
+    returned hold no strips, and the memory is R and two strips, as in
+    :func:`build_factorization` and ``verify``.  A step that fails raises
+    after ``each`` has seen every distance before it.  The strips and the
+    charge to ``counter`` are the same either way.
     """
     R = np.ascontiguousarray(validate_hermitian(R))
     n = R.shape[0]
@@ -426,17 +427,6 @@ def write_column(lower: np.ndarray, diag: np.ndarray, k: int, p,
     diag[k] = vp
 
 
-def _column_sink(n: int):
-    """``each(w, strip)``, which writes column n-1-w of a zeroed n x n
-    factor from strip w's last row, the full-width cell (n-1-w, n-1), and
-    ``done(R)``, the factor so filled, checked by :func:`_checked`."""
-    lower, diag = _aligned_zeros(n), np.empty(n)
-
-    def each(w: int, s: GrcStrip) -> None:
-        write_column(lower, diag, n - 1 - w, s.p[-1], s.vp[-1])
-    return each, lambda R: _checked(R, lower, diag)
-
-
 def _checked(R: np.ndarray, lower, diag) -> InverseFactor:
     """The inverse factor of R from its filled columns, each diagonal entry d_k
     confirmed against the directly evaluated quadratic form F_k^H R F_k, to
@@ -464,13 +454,18 @@ def _checked(R: np.ndarray, lower, diag) -> InverseFactor:
     return f
 
 
-def build_factorization(t: CoeffTables) -> InverseFactor:
-    """The verified inverse factor of completed tables, whose strips go
-    through :func:`_column_sink` as :func:`grc_full` hands them over."""
-    each, done = _column_sink(t.n)
-    for w, s in enumerate(t.strips):
-        each(w, s)
-    return done(t.matrix)
+def build_factorization(R: np.ndarray,
+                        counter: OpCounter | None = None) -> InverseFactor:
+    """The verified inverse factor of dense Hermitian R: :func:`write_column`
+    writes column n-1-w from strip w's last row, the full-width cell
+    (n-1-w, n-1), as :func:`grc_full` makes the strip, so no strip is held;
+    :func:`_checked` then checks it against the validated R."""
+    n = len(R)
+    lower, diag = _aligned_zeros(n), np.empty(n)
+
+    def each(w: int, s: GrcStrip) -> None:
+        write_column(lower, diag, n - 1 - w, s.p[-1], s.vp[-1])
+    return _checked(grc_full(R, counter, each=each).matrix, lower, diag)
 
 
 def apply_inverse(f: InverseFactor, b) -> np.ndarray:

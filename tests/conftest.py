@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 
-from tbtinv import TbtGenerator, generate_pd_tbt
+from tbtinv import InverseFactor, TbtGenerator, generate_pd_tbt, grc_full
+from tbtinv.oracle import _aligned_zeros, write_column
 
 
 def random_hermitian_pd(n, seed, shift=1.0):
@@ -22,6 +23,17 @@ def random_generator(n1, n2, seed):
     c[0, :mid] = np.conj(c[0, mid + 1:])[::-1]
     c[0, mid] = abs(c[0, mid]) + 1.0
     return TbtGenerator(n1, n2, c)
+
+
+def replayed_factor(r, counter=None):
+    """The inverse factor of r replayed from grc_full's whole tables: column
+    n-1-w written from the last row of strip w, into an aligned array as
+    the solvers' factors are."""
+    t = grc_full(r, counter)
+    lower, diag = _aligned_zeros(t.n), np.empty(t.n)
+    for w, s in enumerate(t.strips):
+        write_column(lower, diag, t.n - 1 - w, s.p[-1], s.vp[-1])
+    return InverseFactor(lower, diag)
 
 
 def peak_bytes(fn, *args):

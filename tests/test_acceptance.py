@@ -124,7 +124,7 @@ def test_criterion_5_orthogonality_and_diagonality():
     for (n, seed) in [(8, 0), (16, 1), (32, 2)]:
         r = random_hermitian_pd(n, seed)
         tables = grc_full(r)
-        f = build_factorization(tables)
+        f = build_factorization(r)
         cols = f.lower
         prod = cols.conj().T @ r @ cols
         off = prod - np.diag(np.diag(prod))

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tbtinv.fast
+import tbtinv.oracle
 import tbtinv.wwr
 from tbtinv import BandVector, FactorizationMismatch, InternalIndexError, \
-    NumericalBreakdown, OpCounter, TbtGenerator, assemble_dense, \
-    build_factorization, fetch, gaussian_kernel, generate_pd_tbt, grc_full, \
-    index_exchange, inverse_dense, tbt_grc
+    NumericalBreakdown, OpCounter, TbtGenerator, assemble_dense, fetch, \
+    gaussian_kernel, generate_pd_tbt, grc_full, index_exchange, \
+    inverse_dense, tbt_grc
 from tbtinv import cli
 from tbtinv.cli import EXIT_BEYOND_PRECISION, EXIT_FAIL, EXIT_INTERNAL, \
     EXIT_NOT_PD, EXIT_PASS, EXIT_USAGE, main, run_verify
@@ -19,7 +20,7 @@ from tbtinv.fileio import format_generator, read_dense, read_factor, \
     read_generator, write_dense, write_factor, write_generator
 from tbtinv.oracle import entry_deviation
 from conftest import identity_generator, peak_bytes, poison_column, \
-    top_of_range
+    replayed_factor, top_of_range
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -418,12 +419,12 @@ def test_run_verify_builds_dense_matrix_and_tables_once(monkeypatch):
     assert calls == {"assemble_dense": 1, "tbt_grc": 1}
 
 
-def _watch_reference(monkeypatch):
-    """Wrap ``cli.grc_full`` so that every reference strip handed to the
-    comparison is recorded as weak references to its arrays, one list per
+def _watch_reference(monkeypatch, module=cli):
+    """Wrap ``module.grc_full`` so that every reference strip handed to its
+    callback is recorded as weak references to its arrays, one list per
     distance.  ``done`` gets one entry per grc_full call: whether every
     strip was gone when it returned."""
-    grc_full = cli.grc_full
+    grc_full = module.grc_full
     arrays, done = [], []
 
     def kept(*args, each, **kwargs):
@@ -437,7 +438,7 @@ def _watch_reference(monkeypatch):
         done.append(all(x() is None for s in arrays for x in s))
         return t
 
-    monkeypatch.setattr(cli, "grc_full", kept)
+    monkeypatch.setattr(module, "grc_full", kept)
     return arrays, done
 
 
@@ -565,7 +566,7 @@ def test_invert_oracle_writes_what_the_whole_tables_give(tmp_path, capsys,
     gen = tmp_path / "g.txt"
     write_generator(g, gen)
     counter = OpCounter()
-    f = build_factorization(grc_full(assemble_dense(g), counter))
+    f = replayed_factor(assemble_dense(g), counter)
     write_dense(inverse_dense(f), tmp_path / "x-want.txt")
     write_factor(f, tmp_path / "f-want.txt")
     assert main(["invert", "--input", str(gen), "--method", "oracle",
@@ -581,8 +582,8 @@ def test_invert_oracle_writes_what_the_whole_tables_give(tmp_path, capsys,
 
 def test_invert_oracle_holds_no_strip(tmp_path, capsys, monkeypatch):
     # Each column is written as its strip is made, so no strip outlives
-    # grc_full.
-    arrays, done = _watch_reference(monkeypatch)
+    # the grc_full that build_factorization runs.
+    arrays, done = _watch_reference(monkeypatch, tbtinv.oracle)
     gen = tmp_path / "g.txt"
     write_generator(generate_pd_tbt(3, 2, seed=4), gen)
     assert main(["invert", "--input", str(gen), "--method", "oracle",

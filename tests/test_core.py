@@ -22,6 +22,7 @@ from tbtinv import (
 )
 from tbtinv.core import _band, frobenius_norm, unit_scaled, \
     validate_hermitian
+from tbtinv.fileio import format_generator
 from tbtinv.wwr import block, normal_system
 from conftest import identity_generator, peak_bytes, random_generator
 
@@ -170,6 +171,19 @@ def test_generator_validation():
     c[0, 0] = np.nan
     with pytest.raises(ValueError):
         TbtGenerator(1, 1, c)
+
+
+def test_generator_sizes_are_integers():
+    # A float size once passed, and then made n a float, failed the
+    # solvers with unrelated errors and wrote a header the reader rejects.
+    c = generate_pd_tbt(2, 3, seed=1).c
+    with pytest.raises(TypeError, match="n2"):
+        TbtGenerator(2, 3.0, c)
+    with pytest.raises(TypeError, match="n1"):
+        TbtGenerator(2.0, 3, c)
+    g = TbtGenerator(np.int32(2), np.int64(3), c)
+    assert (type(g.n1), type(g.n2), g.n) == (int, int, 6)
+    assert format_generator(g) == format_generator(TbtGenerator(2, 3, c))
 
 
 def test_band_vector_validation():

@@ -389,7 +389,7 @@ def test_factorization_identity():
 def test_factorization_matches_oracle(n1, n2, seed):
     g = generate_pd_tbt(n1, n2, seed)
     fast = tbt_factorization(g)
-    ref = build_factorization(grc_full(assemble_dense(g)))
+    ref = build_factorization(assemble_dense(g))
     assert np.max(np.abs(fast.diag - ref.diag)) <= 1e-10 * np.max(ref.diag)
     assert np.max(np.abs(fast.lower - ref.lower)) <= 1e-10
 
@@ -611,7 +611,7 @@ def test_multiply_count_scaling():
 def test_factorization_matches_oracle_property(n1, n2, seed):
     g = generate_pd_tbt(n1, n2, seed)
     fast = tbt_factorization(g)
-    ref = build_factorization(grc_full(assemble_dense(g)))
+    ref = build_factorization(assemble_dense(g))
     assert np.max(np.abs(fast.diag - ref.diag)) <= 1e-10 * np.max(ref.diag)
     assert np.max(np.abs(fast.lower - ref.lower)) <= 1e-10
 

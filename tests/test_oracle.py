@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from tbtinv import (
     BandVector,
-    CoeffTables,
     FactorizationMismatch,
     GrcEntry,
     InternalIndexError,
@@ -28,12 +27,12 @@ from tbtinv import (
     tbt_factorization,
     unit_band,
 )
-from tbtinv import cli
+from tbtinv import cli, oracle
 from tbtinv.cli import EXIT_INTERNAL, EXIT_NOT_PD, main
 from tbtinv.fileio import write_generator
 from tbtinv.oracle import _TINY, cells_deviation, entry_deviation
 from conftest import identity_generator, peak_bytes, random_hermitian_pd, \
-    top_of_range
+    replayed_factor, top_of_range
 
 
 def _dense_accessor(r):
@@ -244,7 +243,7 @@ def test_growth_factor_bounds():
 
 
 def test_build_factorization_identity():
-    f = build_factorization(grc_full(np.eye(3, dtype=complex)))
+    f = build_factorization(np.eye(3, dtype=complex))
     assert np.array_equal(f.diag, np.ones(3))
     for k in range(3):
         assert np.array_equal(f.lower[:, k], np.eye(3)[k].astype(complex))
@@ -252,7 +251,7 @@ def test_build_factorization_identity():
 
 def test_build_factorization_2x2():
     r = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-    f = build_factorization(grc_full(r))
+    f = build_factorization(r)
     assert np.array_equal(f.lower[:, 0], [1.0, -0.5])
     assert np.array_equal(f.lower[:, 1], [0.0, 1.0])
     assert np.array_equal(f.diag, [0.75, 1.0])
@@ -260,7 +259,7 @@ def test_build_factorization_2x2():
 
 def test_factor_triple_product_diagonal():
     r = random_hermitian_pd(6, seed=17)
-    f = build_factorization(grc_full(r))
+    f = build_factorization(r)
     cols = f.lower
     prod = cols.conj().T @ r @ cols
     off = prod - np.diag(np.diag(prod))
@@ -268,39 +267,39 @@ def test_factor_triple_product_diagonal():
     assert np.max(np.abs(np.diag(prod) - f.diag)) <= 1e-10 * np.linalg.norm(r)
 
 
-def _scaled_vp(t, k, l, factor):
-    """Copy of the tables with the residual vp of cell (k, l) scaled."""
-    strips = list(t.strips)
-    s = strips[l - k]
-    vp = s.vp.copy()
-    vp[k] *= factor
-    strips[l - k] = s._replace(vp=vp)
-    return CoeffTables(t.n, t.matrix, strips)
+def _scaled_diag(monkeypatch, k, factor):
+    """Make the factor's diagonal entry k, its head residual vp, be written
+    scaled by ``factor``."""
+    write = oracle.write_column
+
+    def scaled(lower, diag, j, p, vp):
+        write(lower, diag, j, p, vp * factor if j == k else vp)
+    monkeypatch.setattr(oracle, "write_column", scaled)
 
 
-def test_build_factorization_mismatch_detected():
+def test_build_factorization_mismatch_detected(monkeypatch):
     r = random_hermitian_pd(4, seed=19)
-    t = grc_full(r)
+    _scaled_diag(monkeypatch, 0, 1.001)
     with pytest.raises(FactorizationMismatch):
-        build_factorization(_scaled_vp(t, 0, 3, 1.001))
+        build_factorization(r)
 
 
 def test_apply_inverse_identity():
-    f = build_factorization(grc_full(np.eye(4, dtype=complex)))
+    f = build_factorization(np.eye(4, dtype=complex))
     b = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     assert np.array_equal(apply_inverse(f, b), b)
 
 
 def test_apply_inverse_2x2():
     r = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-    f = build_factorization(grc_full(r))
+    f = build_factorization(r)
     x = apply_inverse(f, np.array([1.0, 0.0]))
     assert np.allclose(x, [4.0 / 3.0, -2.0 / 3.0], rtol=0, atol=1e-15)
 
 
 def test_apply_inverse_residual():
     r = random_hermitian_pd(8, seed=23)
-    f = build_factorization(grc_full(r))
+    f = build_factorization(r)
     rng = np.random.default_rng(5)
     b = rng.normal(size=8) + 1j * rng.normal(size=8)
     x = apply_inverse(f, b)
@@ -308,7 +307,7 @@ def test_apply_inverse_residual():
 
 
 def test_apply_inverse_size_mismatch():
-    f = build_factorization(grc_full(np.eye(3, dtype=complex)))
+    f = build_factorization(np.eye(3, dtype=complex))
     with pytest.raises(ValueError):
         apply_inverse(f, np.ones(4))
 
@@ -374,17 +373,17 @@ def test_inverse_factor_upper_check_reads_nonzero_entries():
 
 
 def test_inverse_dense_identity_and_2x2():
-    f = build_factorization(grc_full(np.eye(3, dtype=complex)))
+    f = build_factorization(np.eye(3, dtype=complex))
     assert np.array_equal(inverse_dense(f), np.eye(3))
     r = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)
-    x = inverse_dense(build_factorization(grc_full(r)))
+    x = inverse_dense(build_factorization(r))
     want = np.array([[1.0, -0.5], [-0.5, 1.0]]) / 0.75
     assert np.allclose(x, want, rtol=0, atol=1e-15)
 
 
 def test_inverse_dense_residual_and_hermitian():
     r = random_hermitian_pd(6, seed=29)
-    x = inverse_dense(build_factorization(grc_full(r)))
+    x = inverse_dense(build_factorization(r))
     assert np.max(np.abs(x @ r - np.eye(6))) <= 1e-9
     assert np.array_equal(x, x.conj().T)
 
@@ -392,7 +391,7 @@ def test_inverse_dense_residual_and_hermitian():
 @pytest.mark.parametrize("n", [2, 5, 8, 12])
 def test_inverse_matches_textbook_elimination(n):
     r = random_hermitian_pd(n, seed=100 + n)
-    x = inverse_dense(build_factorization(grc_full(r)))
+    x = inverse_dense(build_factorization(r))
     want = np.linalg.inv(r)
     rel = np.linalg.norm(x - want) / np.linalg.norm(want)
     assert rel <= 1e-8
@@ -432,7 +431,7 @@ def test_inverse_dense_past_range_is_breakdown():
     # float range; numpy's overflow warnings would fail this test.
     g = TbtGenerator(1, 2, [[1e-299], [9.999999999e-300]])
     for f in (tbt_factorization(g),
-              build_factorization(grc_full(assemble_dense(g)))):
+              build_factorization(assemble_dense(g))):
         with pytest.raises(NumericalBreakdown, match="past the float range"):
             inverse_dense(f)
 
@@ -441,7 +440,7 @@ def test_solver_factors_are_64_byte_aligned():
     for n1, n2 in ((1, 1), (1, 3), (2, 3), (3, 3), (5, 2), (4, 48)):
         g = generate_pd_tbt(n1, n2, seed=3)
         for f in (tbt_factorization(g),
-                  build_factorization(grc_full(assemble_dense(g)))):
+                  build_factorization(assemble_dense(g))):
             assert f.lower.ctypes.data % 64 == 0
 
 
@@ -497,7 +496,7 @@ def test_cells_deviation_finds_a_worst_entry_in_q():
 def test_build_factorization_bound_does_not_overflow():
     # R = 1e300 I: |R|_F taken unscaled overflows to inf, and numpy warns.
     g = TbtGenerator(2, 2, [[0, 1e300, 0], [0, 0, 0]])
-    f = build_factorization(grc_full(assemble_dense(g)))
+    f = build_factorization(assemble_dense(g))
     assert np.array_equal(f.diag, np.full(4, 1e300))
 
 
@@ -505,8 +504,41 @@ def test_build_factorization_bound_does_not_overflow():
 def test_build_factorization_accepts_ill_conditioned(ell):
     # Condition numbers from 1.5e3 (ell = 1) to 4e14 (ell = 3).
     r = assemble_dense(gaussian_kernel(8, 8, ell))
-    f = build_factorization(grc_full(r))
+    f = build_factorization(r)
     assert f.n == 64
+
+
+_STREAMED = {
+    **{f"{n1}x{n2}-s{seed}": (lambda n1=n1, n2=n2, seed=seed:
+                              generate_pd_tbt(n1, n2, seed))
+       for n1, n2 in ((1, 9), (9, 1), (3, 5), (8, 8), (12, 12))
+       for seed in (1, 2)},
+    **{f"gauss8x8-l{ell}": (lambda ell=ell: gaussian_kernel(8, 8, ell))
+       for ell in (1.0, 2.0, 3.0)},
+}
+
+
+@pytest.mark.parametrize("name", _STREAMED)
+def test_build_factorization_is_the_replay_of_the_whole_tables(name):
+    # Each column is written as its strip is made: the factor is bitwise
+    # the one replayed from every strip held, for the same charge.
+    r = assemble_dense(_STREAMED[name]())
+    streamed, whole = OpCounter(), OpCounter()
+    got = build_factorization(r, streamed)
+    want = replayed_factor(r, whole)
+    assert got.lower.tobytes() == want.lower.tobytes()
+    assert got.diag.tobytes() == want.diag.tobytes()
+    assert streamed == whole
+
+
+def test_build_factorization_peak_at_12x12():
+    # R is the caller's; the call holds the factor and the strips of two
+    # distances, 2.82 times n^2 complex entries.  Replaying the strips of
+    # the whole tables, every one held, read 52.9.  The first call is left
+    # out: it also fills caches.
+    r = assemble_dense(generate_pd_tbt(12, 12, seed=1))
+    build_factorization(r)
+    assert peak_bytes(build_factorization, r) <= 4 * len(r) ** 2 * 16
 
 
 @pytest.mark.parametrize("n1,n2", [(8, 8), (4, 16), (16, 4), (6, 6)])
@@ -519,7 +551,7 @@ def test_gaussian_sweep_never_reports_an_internal_error(n1, n2):
     for ell in np.linspace(2.8, 4.2, 57):
         g = gaussian_kernel(n1, n2, ell)
         for solve in (lambda: tbt_factorization(g),
-                      lambda: build_factorization(grc_full(assemble_dense(g)))):
+                      lambda: build_factorization(assemble_dense(g))):
             try:
                 solve()
             except NotPositiveDefinite:
@@ -528,15 +560,17 @@ def test_gaussian_sweep_never_reports_an_internal_error(n1, n2):
     assert solved > 0
 
 
-def test_build_factorization_rejects_corrupted_diagonal():
+def test_build_factorization_rejects_corrupted_diagonal(monkeypatch):
     # top_of_range's |R|_F is past range; a bound taken on it would be inf.
     for g in (generate_pd_tbt(8, 8, seed=3), top_of_range(8, 8)):
-        t = grc_full(assemble_dense(g))
-        n = t.n
+        r = assemble_dense(g)
+        n = g.n
         for k in (0, n // 2, n - 1):
-            with pytest.raises(FactorizationMismatch,
-                               match=f"diagonal entry {k}:"):
-                build_factorization(_scaled_vp(t, k, n - 1, 1 + 1e-8))
+            with monkeypatch.context() as m, \
+                    pytest.raises(FactorizationMismatch,
+                                  match=f"diagonal entry {k}:"):
+                _scaled_diag(m, k, 1 + 1e-8)
+                build_factorization(r)
 
 
 def cellwise_tables(r):
@@ -682,11 +716,11 @@ def test_grc_full_each_sees_every_distance_before_the_failure(name):
 def test_invert_oracle_fails_like_the_whole_tables(tmp_path, capsys,
                                                    monkeypatch, name):
     # invert --method oracle writes each column as its strip is made; on a
-    # failing matrix it raises what the factor of the whole tables raises,
-    # with the same message and exit status.
+    # failing matrix it raises what the whole tables raise, with the same
+    # message and exit status.
     r = FAILING[name]
     with pytest.raises((NotPositiveDefinite, NumericalBreakdown)) as whole:
-        build_factorization(grc_full(r))
+        grc_full(r)
     gen = tmp_path / "g.txt"
     write_generator(identity_generator(len(r), 1), gen)
     monkeypatch.setattr(cli, "assemble_dense", lambda g: r)
