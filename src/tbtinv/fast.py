@@ -199,9 +199,13 @@ def _strip_plan(n1: int, w0: int, r: int) -> tuple:
 def drop_distance(t: CanonicalTables, w: int) -> None:
     """Drop the stored cells of distance w, the heads of its
     :func:`_strip_plan`, once nothing reads them again; the factor is
-    kept.  Each must still be stored (KeyError otherwise)."""
-    n1 = t.g.n1
-    for k in _strip_plan(n1, w % n1, min(n1, t.g.n - w))[0]:
+    kept.  A distance outside [0, n-1] raises IndexError, as in
+    :func:`fetch_strip`, and each head must still be stored (KeyError
+    otherwise)."""
+    n1, n = t.g.n1, t.g.n
+    if not 0 <= w <= n - 1:
+        raise IndexError(f"distance {w} outside a {n} x {n} table")
+    for k in _strip_plan(n1, w % n1, min(n1, n - w))[0]:
         del t.entries[(k, k + w)]
 
 
@@ -238,12 +242,13 @@ def tbt_factorization(g: TbtGenerator, counter: OpCounter | None = None, *,
     that already holds ``tbt_grc(g)`` passes it as ``tables``: the
     recursion is not run again, ``counter`` is not charged, the tables
     are left as they are, and tables of another generator, or tables
-    that hold no factor, raise ValueError.
+    that hold no factor, raise ValueError.  Only such tables are checked:
+    a recursion run here has ``g`` and a factor by construction.
     """
-    t = (tables if tables is not None
-         else tbt_grc(g, counter, factor_only=True))
-    if not np.array_equal(t.g.c, g.c):  # c's shape fixes n1 and n2
+    if tables is None:
+        return tbt_grc(g, counter, factor_only=True).factor
+    if not np.array_equal(tables.g.c, g.c):  # c's shape fixes n1 and n2
         raise ValueError("tables were computed from another generator")
-    if t.factor is None:
+    if tables.factor is None:
         raise ValueError("tables hold no factor")
-    return t.factor
+    return tables.factor

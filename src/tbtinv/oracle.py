@@ -84,15 +84,13 @@ def _frozen(s: GrcStrip) -> GrcStrip:
 
 @dataclass
 class CoeffTables:
-    """Complete recursion tables for one Hermitian matrix.
+    """Complete recursion tables for one n x n Hermitian matrix.
 
     ``strips[w]`` holds the cells (k, k + w), k = 0 .. n-1-w, of distance
-    w (none when made with a callback).  ``matrix`` is the validated R,
-    which :func:`build_factorization` checks its factor against.
+    w (none when made with a callback).
     """
 
     n: int
-    matrix: np.ndarray
     strips: list
 
     def get(self, k: int, l: int) -> GrcEntry:
@@ -106,14 +104,15 @@ class CoeffTables:
                         _band(self.n, k, l, s.q[k]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class InverseFactor:
     """Unit-lower-triangular factor and positive diagonal of R^-1.
 
     ``lower`` is the dense n x n factor F: column k holds its coefficients
     on [k, n-1] with a unit head, and everything above the diagonal is
     zero.  Applying the inverse is F . diag^-1 . F^H, two matrix-vector
-    products.  Both arrays are read-only once checked.
+    products.  The constructor checks both arrays and stores them
+    read-only, and the record is frozen, so neither can be rebound.
     """
 
     lower: np.ndarray
@@ -237,10 +236,10 @@ def _finite(x: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
-def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
+def grc_strip_step(prev: GrcStrip, seg: np.ndarray,
                    counter: OpCounter | None = None) -> GrcStrip:
     """Every cell (k, k + w) of one distance w >= 1 from the strip of
-    distance w - 1.
+    distance w - 1, w being the width of ``seg``.
 
     Row k is :func:`grc_step` at (k, k + w): it reads the (k, l-1) forward
     polynomial from row k of ``prev`` and the (k+1, l) backward one from
@@ -257,6 +256,7 @@ def grc_strip_step(prev: GrcStrip, seg: np.ndarray, w: int,
     the cell-by-cell recursion raises there.  A completed strip charges
     ``counter`` what its steps would, by :func:`_charge`.
     """
+    w = seg.shape[1]
     p_hat, vp_hat = prev.p[:-1], prev.vp[:-1]
     q_hat, v_hat = prev.q[1:], prev.v[1:]
     num = np.einsum("ij,ij->i", p_hat, seg)
@@ -307,7 +307,7 @@ def _strips(R: np.ndarray, counter: OpCounter | None):
             seg = np.ndarray((n - w, w), R.dtype, R, w * size,
                              ((n + 1) * size, n * size))
             seg.setflags(write=False)
-            s = grc_strip_step(s, seg, w, counter)
+            s = grc_strip_step(s, seg, counter)
         yield s
 
 
@@ -321,6 +321,8 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None, *,
     independently.  The steps check every value they produce, so numpy's
     warnings about non-finite values are silenced for the sweep, ``each``
     included, as :func:`~tbtinv.fast.tbt_grc` silences them for its reads.
+    R is read as a C-contiguous complex array, copied only if it is not
+    one, and the tables returned carry only n and the strips.
 
     By default the tables hold every strip.  With ``each``, each strip is
     handed to ``each(w, strip)`` as it is made, for w = 0 .. n-1 in order,
@@ -337,10 +339,10 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None, *,
     strips = _strips(R, counter)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if each is None:
-            return CoeffTables(n, R, list(strips))
+            return CoeffTables(n, list(strips))
         for w, s in enumerate(strips):
             each(w, s)
-    return CoeffTables(n, R, [])
+    return CoeffTables(n, [])
 
 
 def stack_cells(cells: list, heads, w: int) -> GrcStrip:
@@ -459,13 +461,17 @@ def build_factorization(R: np.ndarray,
     """The verified inverse factor of dense Hermitian R: :func:`write_column`
     writes column n-1-w from strip w's last row, the full-width cell
     (n-1-w, n-1), as :func:`grc_full` makes the strip, so no strip is held;
-    :func:`_checked` then checks it against the validated R."""
+    :func:`_checked` then checks it against R.  R is made a C-contiguous
+    complex array once, and :func:`grc_full` validates and reads that
+    same array."""
+    R = np.ascontiguousarray(R, dtype=complex)
     n = len(R)
     lower, diag = _aligned_zeros(n), np.empty(n)
 
     def each(w: int, s: GrcStrip) -> None:
         write_column(lower, diag, n - 1 - w, s.p[-1], s.vp[-1])
-    return _checked(grc_full(R, counter, each=each).matrix, lower, diag)
+    grc_full(R, counter, each=each)
+    return _checked(R, lower, diag)
 
 
 def apply_inverse(f: InverseFactor, b) -> np.ndarray:

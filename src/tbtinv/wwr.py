@@ -36,12 +36,16 @@ PIVOT_TOL = 1e3 * np.finfo(float).eps
 @dataclass
 class WwrState:
     """State after one order: coefficients A_1..A_order as an (order, n1, n1)
-    stack, the prediction-error block P and that order's innovation block."""
+    stack, the prediction-error block P and that order's innovation block.
+    The order is the stack's length."""
 
-    order: int
     coeffs: np.ndarray
     prediction_error: np.ndarray
     innovation: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs)
 
 
 def block(g: TbtGenerator, d: int | np.ndarray) -> np.ndarray:
@@ -137,7 +141,7 @@ def wwr_recurse(g: TbtGenerator,
         # The backward reflection block is the conjugate-flip of a_new.
         p = p + _matmul(flip_conj(a_new), delta, counter)
         _require_pd(p, order)
-        states.append(WwrState(order, a, p, delta))
+        states.append(WwrState(a, p, delta))
     return states
 
 

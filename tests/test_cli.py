@@ -541,11 +541,8 @@ def test_run_verify_drops_each_fast_distance_once_compared(monkeypatch,
 def test_run_verify_peak_at_12x12_is_the_fast_tables_and_r():
     # 1.14 times the fast tables' own peak: the fast tables less the few
     # distances already compared, R and the strips of one distance, early
-    # in the reference.  Holding every fast distance to the end, with a
-    # buffered column block in validate_hermitian, read 1.28; whole-size
-    # temporaries beside the tables (validate_hermitian's, R X - I) 1.45,
-    # holding every reference strip 6.7.  The first calls are left out:
-    # they also fill caches.
+    # in the reference.  The first calls are left out: they also fill
+    # caches.
     g = generate_pd_tbt(12, 12, seed=1)
     run_verify(g)
     tbt_grc(g)
@@ -593,9 +590,7 @@ def test_invert_oracle_holds_no_strip(tmp_path, capsys, monkeypatch):
 
 def test_invert_oracle_peak_at_12x12(tmp_path, capsys):
     # The peak is R, the factor and the strips of one distance: 3.84 times
-    # n^2 complex entries.  Whole-matrix temporaries in assemble_dense and
-    # validate_hermitian read 5.4, holding every strip until the factor
-    # was built 53.9.
+    # n^2 complex entries, with R assembled and checked by 16-row blocks.
     g = generate_pd_tbt(12, 12, seed=1)
     gen = tmp_path / "g.txt"
     write_generator(g, gen)

@@ -369,9 +369,8 @@ def test_validate_hermitian_by_blocks_is_the_whole_matrix_test(n, scale):
 def test_validate_hermitian_peak_at_64x64_is_two_blocks():
     # The second pass holds the scaled 16-row block and one transposed
     # copy of its column block, scaled and conjugated in place: 0.51 of
-    # the matrix's bytes.  Scaling the strided column block as a product
-    # buffered a copy as large as itself, 1.03.  The first call is left
-    # out: it also fills caches.
+    # the matrix's bytes.  The first call is left out: it also fills
+    # caches.
     a = assemble_dense(generate_pd_tbt(8, 8, seed=1))
     validate_hermitian(a)
     assert peak_bytes(validate_hermitian, a) <= 0.6 * a.nbytes

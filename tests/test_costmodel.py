@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from tbtinv import (
+    CostReport,
     DomainError,
     comparison_table,
     opc_closed_form,
@@ -65,6 +68,17 @@ def test_comparison_first_row():
     assert row.opc15 == 23.0
     assert row.opcwwr14 == 24.0
     assert abs(row.ratio - 23.0 / 24.0) < 1e-15
+
+
+def test_ratio_is_the_fast_count_over_the_baseline():
+    # The ratio is worked out from the two counts, not stored beside them.
+    assert [f.name for f in dataclasses.fields(CostReport)] == \
+        ["n1", "n2", "opc_sum12", "opc15", "opcwwr14"]
+    for row in comparison_table(2, 64):
+        got = CostReport(row.n1, row.n2, row.opc_sum12, row.opc15,
+                         row.opcwwr14).ratio
+        want = row.opc15 / row.opcwwr14
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_comparison_sweep_ratio_behavior():

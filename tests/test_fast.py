@@ -398,12 +398,8 @@ def test_factorization_peak_is_a_few_factors():
     # The recursion writes each column of the factor as its distance
     # completes and keeps no distance but the last, so the factor sits
     # next to two distances of cells.  The peak reads 1.27 factors at
-    # 16 x 16 and 1.89 at 48 x 4, where two 48-row distances set it;
-    # keeping one source cell per distance and cutting each to its column
-    # before allocating the factor read 1.54 and 1.68, keeping both
-    # polynomials until the factor took its column 2.15 and 2.20, and
-    # holding the whole half-table 9.4 and 24.  The first call is left
-    # out: it also allocates one-time caches.
+    # 16 x 16 and 1.89 at 48 x 4, where two 48-row distances set it.  The
+    # first call is left out: it also allocates one-time caches.
     for n1, n2 in ((16, 16), (48, 4)):
         g = generate_pd_tbt(n1, n2, seed=15)
         tbt_factorization(g)
@@ -411,8 +407,7 @@ def test_factorization_peak_is_a_few_factors():
 
 
 def test_factorization_peak_at_16x16_is_the_factor_and_two_distances():
-    # 1.27 factors; keeping one source cell per distance until the
-    # recursion ended read 1.54.
+    # 1.27 factors: the factor and the cells of two distances.
     g = generate_pd_tbt(16, 16, seed=15)
     tbt_factorization(g)
     assert peak_bytes(tbt_factorization, g) <= 1.35 * g.n ** 2 * 16
@@ -466,6 +461,19 @@ def test_drop_distance_drops_exactly_that_distances_cells(n1, n2):
         assert t.factor is factor
     with pytest.raises(KeyError):
         drop_distance(t, 0)
+
+
+def test_drop_distance_rejects_distances_off_the_table():
+    # As fetch_strip: a distance outside [0, n-1] raises IndexError before
+    # any plan is made or any cell dropped.
+    t = tbt_grc(generate_pd_tbt(3, 2, seed=1))
+    cells = dict(t.entries)
+    plans = tbtinv.fast._strip_plan.cache_info().currsize
+    for w in (6, 8, -1):
+        with pytest.raises(IndexError, match=f"distance {w} outside a 6 x 6"):
+            drop_distance(t, w)
+    assert tbtinv.fast._strip_plan.cache_info().currsize == plans
+    assert t.entries == cells
 
 
 @pytest.mark.parametrize("n1,n2", [(16, 16), (1, 7), (7, 1)])
@@ -535,6 +543,19 @@ def test_factorization_rejects_tables_of_another_generator():
             tbt_factorization(g, tables=tbt_grc(other))
     with pytest.raises(ValueError, match="hold no factor"):
         tbt_factorization(g, tables=CanonicalTables(g, {}))
+
+
+def test_factorization_checks_only_the_tables_it_is_given(monkeypatch):
+    # A recursion run here has g and a factor by construction.
+    g = generate_pd_tbt(2, 3, seed=1)
+    t = tbt_grc(g)
+
+    def compared(*args):
+        raise AssertionError("generators compared")
+    monkeypatch.setattr(np, "array_equal", compared)
+    assert tbt_factorization(g).lower.tobytes() == t.factor.lower.tobytes()
+    with pytest.raises(AssertionError, match="generators compared"):
+        tbt_factorization(g, tables=t)
 
 
 def test_factorization_residual():

@@ -316,7 +316,7 @@ def test_readers_split_lines_like_splitlines(name, sep, tmp_path):
 
 def test_read_factor_holds_one_line_besides_the_factor(tmp_path):
     # At 4 x 48 the reader's peak is 1.16 factors: the factor and one
-    # column line.  Holding the text and its list of lines read 3.9.
+    # column line.
     path = tmp_path / "f.txt"
     write_factor(tbt_factorization(generate_pd_tbt(4, 48, seed=1)), path)
     f = read_factor(path)
@@ -327,7 +327,7 @@ def test_read_factor_holds_one_line_besides_the_factor(tmp_path):
 def test_read_dense_and_generator_stream(tmp_path):
     # Each array is allocated once and filled row by row: the peaks read
     # 0.43 of the file for the 192 x 192 inverse and 0.58 for the 32 x 64
-    # generator (2.8 and 2.9 when the text was held).
+    # generator.
     a = tmp_path / "a.txt"
     write_dense(inverse_dense(tbt_factorization(generate_pd_tbt(4, 48, 1))), a)
     g = tmp_path / "g.txt"

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tbtinv import (
     generate_pd_tbt,
     grc_full,
     grc_step,
+    grc_strip_step,
     inverse_dense,
     tbt_factorization,
     unit_band,
@@ -329,6 +331,10 @@ def test_inverse_factor_validation():
     diag = np.array([2.0, 0.5])
     f = InverseFactor(good, diag)
     assert f.n == 2 and not f.lower.flags.writeable
+    # The arrays the constructor checked cannot be rebound.
+    for name in ("lower", "diag"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, getattr(f, name).copy())
     upper = good.copy()
     upper[0, 1] = 1e-300
     head = good.copy()
@@ -419,8 +425,7 @@ def test_inverse_dense_blocks_agree_with_the_whole_product(n):
 
 def test_inverse_dense_holds_one_block_row_besides_its_output():
     # At n = 192 the peak reads 1.18 outputs: one 16 x 192 block row and
-    # numpy's buffers for it.  64-row blocks read 1.56, and the whole
-    # product with its conjugate copies 3.2.
+    # numpy's buffers for it.
     f = tbt_factorization(generate_pd_tbt(4, 48, seed=1))
     inverse_dense(f)
     assert peak_bytes(inverse_dense, f) <= 1.3 * f.n ** 2 * 16
@@ -533,8 +538,7 @@ def test_build_factorization_is_the_replay_of_the_whole_tables(name):
 
 def test_build_factorization_peak_at_12x12():
     # R is the caller's; the call holds the factor and the strips of two
-    # distances, 2.82 times n^2 complex entries.  Replaying the strips of
-    # the whole tables, every one held, read 52.9.  The first call is left
+    # distances, 2.82 times n^2 complex entries.  The first call is left
     # out: it also fills caches.
     r = assemble_dense(generate_pd_tbt(12, 12, seed=1))
     build_factorization(r)
@@ -691,8 +695,29 @@ def test_grc_full_hands_each_strip_over_as_made(r):
     seen = []
     t = grc_full(r, streamed, each=lambda w, s: seen.append((w, _bits(s))))
     assert t.strips == [] and t.n == len(want)
+    assert [f.name for f in dataclasses.fields(t)] == ["n", "strips"]
     assert seen == [(w, _bits(s)) for w, s in enumerate(want)]
     assert (streamed.mul, streamed.add, streamed.div) == \
+        (full.mul, full.add, full.div)
+
+
+@pytest.mark.parametrize("r", [
+    random_hermitian_pd(9, seed=5),
+    assemble_dense(gaussian_kernel(6, 6, 2.0)),
+], ids=["random9", "gauss6x6-l2"])
+def test_grc_strip_step_reads_its_distance_from_the_segment(r):
+    # Each strip of grc_full is grc_strip_step of the strip before and the
+    # distance's column segments seg[k, i] = R[k+i, k+w], w their width,
+    # for the same charge.
+    full, stepped = OpCounter(), OpCounter()
+    want = grc_full(r, full).strips
+    n = len(r)
+    for w in range(1, n):
+        seg = np.array([[r[k + i, k + w] for i in range(w)]
+                        for k in range(n - w)])
+        got = grc_strip_step(want[w - 1], seg, stepped)
+        assert _bits(got) == _bits(want[w])
+    assert (stepped.mul, stepped.add, stepped.div) == \
         (full.mul, full.add, full.div)
 
 

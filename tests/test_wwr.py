@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +10,7 @@ from tbtinv import (
     OpCounter,
     SingularP,
     TbtGenerator,
+    WwrState,
     assemble_dense,
     generate_pd_tbt,
     wwr_recurse,
@@ -210,6 +213,23 @@ def test_residual_requires_final_state():
     states = wwr_recurse(g)
     with pytest.raises(ValueError):
         wwr_residual(g, states[0])
+
+
+def test_state_order_is_its_stack_length():
+    # The order is worked out from the coefficient stack, so the residual
+    # checks the stack it then uses.
+    assert [f.name for f in dataclasses.fields(WwrState)] == \
+        ["coeffs", "prediction_error", "innovation"]
+    g = generate_pd_tbt(2, 4, seed=8)
+    states = wwr_recurse(g)
+    for s in states:
+        state = WwrState(s.coeffs, s.prediction_error, s.innovation)
+        assert state.order == len(s.coeffs)
+    final = states[-1]
+    short = WwrState(final.coeffs[:-1], final.prediction_error,
+                     final.innovation)
+    with pytest.raises(ValueError, match="not at the final order"):
+        wwr_residual(g, short)
 
 
 def blockwise_states(g, counter=None):
