@@ -19,6 +19,7 @@ the fast TBT solver is checked against.
 """
 
 import cmath
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -159,8 +160,12 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     serves both coefficients: the backward numerator is the conjugate of
     the forward one.  ``m`` is a column-slice accessor under the contract
     of :func:`~tbtinv.core.column_inner`.  Each new polynomial is checked
-    finite once, so the band vectors :func:`~tbtinv.core._band` builds
-    from it skip the public constructor's checks.  A completed step
+    finite once, by its dot product with a zero vector (:func:`_zeros`),
+    so the band vectors :func:`~tbtinv.core._band` builds from it skip the
+    public constructor's checks.  That product is NaN, and numpy warns of
+    an invalid value, when the update overflowed; a direct caller whose
+    values can turn non-finite silences numpy's invalid and overflow
+    warnings, as :func:`~tbtinv.fast.tbt_grc` does.  A completed step
     charges ``counter`` its whole cost by :func:`_charge`.  Predecessors
     off the supports [k, l-1] and [k+1, l] are an index bug:
     InternalIndexError.  A failed numerical check raises
@@ -189,7 +194,8 @@ def grc_step(p_hat: BandVector, q_hat: BandVector, v_hat: float,
     qc = np.zeros(w + 1, dtype=complex)
     qc[1:] = q_hat.coeff
     qc[:w] -= ap * p_hat.coeff
-    if not (_finite(pc) and _finite(qc)):
+    zero = _zeros(p_hat.n)[:w + 1]
+    if not (pc.dot(zero) == 0 and qc.dot(zero) == 0):
         raise _step_error(k, l, num, growth)
     _charge(counter, 1, w)
     return GrcEntry(a, ap, v_hat * gr, vp_hat * gr,
@@ -231,8 +237,20 @@ def _charge(counter: OpCounter | None, cells: int, w: int) -> None:
         counter.div += cells * 2
 
 
+@functools.cache
+def _zeros(n: int) -> np.ndarray:
+    """A read-only complex zero vector of length n, made once per n.
+
+    x . 0 is NaN when an entry of x is infinite or NaN in either part, and
+    exactly zero otherwise, so one dot product checks x finite.
+    """
+    z = np.zeros(n, dtype=complex)
+    z.flags.writeable = False
+    return z
+
+
 def _finite(x: np.ndarray) -> bool:
-    # Cheaper than np.isfinite(x).all() on the short arrays of a step.
+    # Cheaper than np.isfinite(x).all() on the strips of grc_strip_step.
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 

@@ -161,8 +161,65 @@ def test_grc_step_overflowing_polynomial_is_breakdown():
     def m(rows, j):
         return np.full(rows.stop - rows.start, 0.5, dtype=complex)
 
-    with pytest.raises(NumericalBreakdown), np.errstate(over="ignore"):
+    with pytest.raises(NumericalBreakdown), np.errstate(over="ignore",
+                                                        invalid="ignore"):
         grc_step(unit_band(2, 0), big, 1e-10, 1e10, m, 0, 1)
+
+
+def _one_big_update(poly, u, y):
+    """Step (1, 3) at n = 5 whose one large coefficient is -a y (poly
+    "p", at p[1]) or -a' y (poly "q", at q[1]), the coefficient being
+    5e9 u: the inner product is 0.5 u or its conjugate and the residual
+    scalars are 1e-10 and 1e10, so the growth factor is 0.75."""
+    def m(rows, j):
+        return np.array([0.5 * (u if poly == "p" else np.conj(u)), 0.0])
+
+    if poly == "p":
+        p_hat, q_hat = BandVector(5, 1, 2, [1, 0]), BandVector(5, 2, 3, [y, 1])
+        return grc_step(p_hat, q_hat, 1e-10, 1e10, m, 1, 3)
+    p_hat, q_hat = BandVector(5, 1, 2, [1, y]), BandVector(5, 2, 3, [0, 1])
+    return grc_step(p_hat, q_hat, 1e10, 1e-10, m, 1, 3)
+
+
+_DIAGONAL = cmath.exp(0.25j * cmath.pi)
+
+
+@pytest.mark.parametrize("poly", ["p", "q"])
+@pytest.mark.parametrize("u,y,part,value", [
+    (1, -1e308, "real", np.inf),
+    (1, 1e308, "real", -np.inf),
+    (1, complex(0, -1e308), "imag", np.inf),
+    (1, complex(0, 1e308), "imag", -np.inf),
+    (_DIAGONAL, complex(1e308, 1e308), "real", np.nan),
+    (_DIAGONAL, complex(1e308, -1e308), "imag", np.nan),
+])
+def test_grc_step_non_finite_update_is_breakdown_at_its_pair(poly, u, y,
+                                                             part, value):
+    # The new coefficient is 0 - 5e9 u y: it overflows to +-inf, or to
+    # inf - inf = NaN, in the part named, whichever polynomial it is in.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = getattr(0 - np.complex128(5e9 * u) * y, part)
+        assert got == value or (np.isnan(value) and np.isnan(got))
+        with pytest.raises(NumericalBreakdown) as err:
+            _one_big_update(poly, u, y)
+    assert err.value.pair == (1, 3)
+
+
+@pytest.mark.parametrize("poly", ["p", "q"])
+@pytest.mark.parametrize("y", [-2e290, complex(-2e290, -2e290)])
+def test_grc_step_near_range_update_passes(poly, y):
+    e = _one_big_update(poly, 1, y)
+    got = (e.p if poly == "p" else e.q).coeff[1]
+    assert got == -5e9 * y and abs(got) >= 1e300
+
+
+def test_grc_step_zero_vector_is_read_only_and_stays_zero():
+    g = generate_pd_tbt(16, 16, 1)
+    tbt_factorization(g)
+    z = oracle._zeros(g.n)
+    assert z is oracle._zeros(g.n)
+    assert not z.flags.writeable
+    assert z.dtype == complex and z.tobytes() == bytes(16 * g.n)
 
 
 @pytest.mark.parametrize("n,seed", [(4, 0), (4, 1), (6, 2)])
