@@ -85,7 +85,7 @@ def run_verify(g: TbtGenerator,
     strips are held at once and the fast tables shrink as the reference
     grows: the peak is the fast tables less the few distances already
     compared, R and the strips of one distance, early in the reference
-    (distance 13 of 64 at 8 x 8).
+    (distance 17 of 64 at 8 x 8).
     The tables are dropped once the factor is read from them, so the
     materialized-inverse residual holds R, the factor and then the
     inverse, and R X.  Then it measures (for n2 >= 2) the baseline's

@@ -14,8 +14,10 @@ factor).  :func:`fetch` serves every pair from the stored half, and the
 recursion itself reads its predecessors through it; :func:`fetch_strip`
 serves every pair of one distance at once, reading each stored cell of
 that distance once.  The recursion writes each column of the inverse
-factor as soon as its distance is complete, and for
-:func:`tbt_factorization` keeps no distance but the last, so its memory
+factor as soon as its distance is complete.  No step reads a distance
+once the next is done: the full tables then record it as two frozen
+arrays and free its cells, and for :func:`tbt_factorization` the
+recursion keeps no distance but the last, so its memory
 is O(n^2), about 1.3 times the factor.  The matrix is read exclusively
 through column slices built from the generator
 (:func:`~tbtinv.core.column_accessor`, under the accessor contract of
@@ -24,7 +26,10 @@ total work is O(n1^3 * n2^2) scalar operations.
 """
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,29 +43,88 @@ from .core import (
     unit_band,
 )
 from .oracle import GrcEntry, GrcStrip, InverseFactor, _frozen, \
-    _aligned_zeros, grc_step, stack_cells, write_column
+    _aligned_zeros, grc_step, write_column
+
+
+class _Record(NamedTuple):
+    """A finished distance w of the tables: ``heads`` are the rows of its
+    :func:`_strip_plan`, and row i of ``x`` (h x 4 complex: a, a', v and
+    v') and of ``pq`` (h x 2 x (w+1): p and q) is the cell
+    (heads[i], heads[i] + w).  Both arrays are read-only."""
+
+    heads: tuple
+    x: np.ndarray
+    pq: np.ndarray
 
 
 @dataclass
 class CanonicalTables:
     """Stored half of the reflection tables for one TBT generator.
 
-    Keys are the pairs (k, k + w), k < n1, that :func:`_source_map` maps
-    to itself: of a pair and its antidiagonal mirror, the one with the
-    smaller row, so the diagonal pairs (k, k) with 2k < n1.
-    :func:`fetch` serves every other pair from one of them.  Tables made
-    by :func:`tbt_grc` with ``factor_only`` hold only the last distance's
+    The stored pairs are the (k, k + w), k < n1, that :func:`_source_map`
+    maps to itself: of a pair and its antidiagonal mirror, the one with
+    the smaller row, so the diagonal pairs (k, k) with 2k < n1.
+    :func:`fetch` serves every other pair from one of them.  ``cells``
+    holds the stored pairs of the distances still live, one
+    :class:`~tbtinv.oracle.GrcEntry` each, and ``records`` each finished
+    distance w as one :class:`_Record`; ``entries`` is a read-only
+    mapping of every stored pair, from either.  Tables made by
+    :func:`tbt_grc` with ``factor_only`` hold only the last distance's
     one cell (0, n-1), and a pair served by a dropped one raises
     InternalIndexError.  ``factor`` is the inverse factor :func:`tbt_grc`
     wrote as the recursion went; tables built otherwise hold None.
+    Only :func:`tbt_grc`'s full tables set ``records`` to a dict of
+    their own; all others share the class's empty read-only one, so the
+    ``factor_only`` recursion allocates no record store.
     """
 
     g: TbtGenerator
-    entries: dict
+    cells: dict
     factor: InverseFactor | None = None
+    records = MappingProxyType({})  # not a field: see above
+
+    @property
+    def entries(self) -> Mapping:
+        return _Entries(self)
 
     def is_stored(self, k: int, l: int) -> bool:
-        return (k, l) in self.entries
+        if (k, l) in self.cells:
+            return True
+        r = self.records.get(l - k)
+        return r is not None and k in r.heads
+
+
+class _Entries(Mapping):
+    """Every stored pair of tables ``t``, read-only: a live cell as stored,
+    a recorded one read back on its support."""
+
+    def __init__(self, t: CanonicalTables):
+        self._t = t
+
+    def __getitem__(self, pair):
+        t = self._t
+        e = t.cells.get(pair)
+        if e is not None:
+            return e
+        if not t.is_stored(*pair):
+            raise KeyError(pair)
+        k, l = pair
+        a, ap, v, vp, p, q = _recorded(t, k, l - k)
+        n = t.g.n
+        return GrcEntry(a, ap, v, vp, _band(n, k, l, p), _band(n, k, l, q))
+
+    def __contains__(self, pair) -> bool:
+        return self._t.is_stored(*pair)
+
+    def __iter__(self):
+        for w, r in self._t.records.items():
+            for k in r.heads:
+                yield k, k + w
+        yield from self._t.cells
+
+    def __len__(self) -> int:
+        return (len(self._t.cells)
+                + sum(len(r.heads) for r in self._t.records.values()))
 
 
 @functools.cache
@@ -114,17 +178,20 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
     those :func:`_mirror_values` gives the mirror.  The factor is
     returned as the tables' ``factor``.
 
-    By default every stored cell is kept.  With ``factor_only``,
-    :func:`drop_distance` drops distance w - 1 once distance w is done,
-    as no later step or column reads it: the tables end holding only the
-    last distance's cell (0, n-1), and the memory is that of the factor
-    and two distances.  :func:`fetch` of a pair served by a dropped cell
-    raises InternalIndexError.
+    No step reads distance w - 1 once distance w is done.  By default
+    :func:`_record` then records it, and its cells are freed; the last
+    distance stays live.  With ``factor_only``, :func:`drop_distance`
+    drops it instead: the tables end holding only the last distance's
+    cell (0, n-1), and the memory is that of the factor and two
+    distances.  :func:`fetch` of a pair served by a dropped cell raises
+    InternalIndexError.
     """
     n1, n = g.n1, g.n
     m = column_accessor(g)
     c00 = g.c[0, n1 - 1].real
     t = CanonicalTables(g, {})
+    if not factor_only:
+        t.records = {}
     lower, diag = _aligned_zeros(n), np.empty(n)
     with np.errstate(invalid="ignore", over="ignore"):
         for w in range(n):
@@ -132,22 +199,58 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
                 l = k + w
                 if w == 0:
                     e_k = unit_band(n, k)
-                    t.entries[(k, k)] = GrcEntry(0j, 0j, c00, c00, e_k, e_k)
+                    t.cells[(k, k)] = GrcEntry(0j, 0j, c00, c00, e_k, e_k)
                     continue
                 left = fetch(t, k, l - 1)
                 below = fetch(t, k + 1, l)
-                t.entries[(k, l)] = grc_step(left.p, below.q, below.v,
-                                             left.vp, m, k, l, counter)
+                t.cells[(k, l)] = grc_step(left.p, below.q, below.v,
+                                           left.vp, m, k, l, counter)
             c = n - 1 - w
-            e = t.entries[(0, w)]
+            e = t.cells[(0, w)]
             if c % n1 == 0:
                 write_column(lower, diag, c, e.p.coeff, e.vp)
             else:
                 write_column(lower, diag, c, np.conj(e.q.coeff[::-1]), e.v)
-            if factor_only and w:  # no later step reads distance w - 1
+            if w and factor_only:  # no later step reads distance w - 1
                 drop_distance(t, w - 1)
+            elif w:
+                _record(t, w - 1)
     t.factor = InverseFactor(lower, diag)
     return t
+
+
+def _stacked(cells: list, heads, w: int) -> _Record:
+    """The record of the cells (k, k + w), k running over ``heads``.  A
+    mirror or block shift keeps a pair's support, so a missing cell or a
+    support other than [k, k + w] is an index bug: InternalIndexError."""
+    for k, e in zip(heads, cells):
+        if e is None:
+            raise InternalIndexError(f"cell ({k}, {k + w}) is not stored")
+        if (e.p.lo, e.p.hi, e.q.lo, e.q.hi) != (k, k + w, k, k + w):
+            raise InternalIndexError(f"cell ({k}, {k + w}) has supports "
+                                     f"{e.p.lo, e.p.hi} / {e.q.lo, e.q.hi}")
+    x = np.array([(e.a, e.ap, e.v, e.vp) for e in cells], dtype=complex)
+    pq = np.array([(e.p.coeff, e.q.coeff) for e in cells])
+    x.setflags(write=False)
+    pq.setflags(write=False)
+    return _Record(heads, x, pq)
+
+
+def _record(t: CanonicalTables, w: int) -> None:
+    """Move the live cells of distance w into one record of ``t``."""
+    heads = _plan(t.g, w)[0]
+    cells = [t.cells.pop((k, k + w)) for k in heads]
+    t.records[w] = _stacked(cells, heads, w)
+
+
+def _recorded(t: CanonicalTables, k: int, w: int) -> tuple:
+    """The six values of the recorded pair (k, k + w), k a head of its
+    record, as :func:`_mirror_values` takes them."""
+    r = t.records[w]
+    i = r.heads.index(k)
+    a, ap, v, vp = r.x[i]
+    p, q = r.pq[i]
+    return a, ap, v.real, vp.real, p, q
 
 
 def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
@@ -155,22 +258,26 @@ def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
 
     A whole-block shift keeps the values of a cell, so (k, l) has the
     values of (k0, k0 + l - k), k0 = k mod n1, served from the stored
-    pair :func:`_source_map` names, itself or its mirror.  A stored pair
-    is returned as stored; any other is built on the support [k, l].
+    pair :func:`_source_map` names, itself or its mirror, live or
+    recorded.  A live stored pair is returned as stored; any other is
+    built on the support [k, l].
     """
     n1, n = t.g.n1, t.g.n
     if not (0 <= k <= l <= n - 1):
         raise IndexError(f"pair ({k}, {l}) outside a {n} x {n} table")
     k0, w = k % n1, l - k
     s = _source_map(n1)[w % n1][k0]
-    e = t.entries.get((s, s + w))
-    if e is None:
+    e = t.cells.get((s, s + w))
+    if e is not None:
+        if s == k:
+            return e
+        a, ap, v, vp, p, q = e.a, e.ap, e.v, e.vp, e.p.coeff, e.q.coeff
+    elif w in t.records:
+        a, ap, v, vp, p, q = _recorded(t, s, w)
+    else:
         raise InternalIndexError(f"pair ({k}, {l}) has no stored value "
                                  f"at ({s}, {s + w})")
-    if s == k:
-        return e
-    a, ap, v, vp, p, q = e.a, e.ap, e.v, e.vp, e.p.coeff, e.q.coeff
-    if s != k0:
+    if s != k0:  # no tuple of the six values outlives this line
         a, ap, v, vp, p, q = _mirror_values(a, ap, v, vp, p, q)
     return GrcEntry(a, ap, v, vp, _band(n, k, l, p), _band(n, k, l, q))
 
@@ -196,39 +303,56 @@ def _strip_plan(n1: int, w0: int, r: int) -> tuple:
     return heads, first
 
 
+def _plan(g: TbtGenerator, w: int) -> tuple:
+    """The :func:`_strip_plan` of distance w of ``g``'s tables."""
+    return _strip_plan(g.n1, w % g.n1, min(g.n1, g.n - w))
+
+
 def drop_distance(t: CanonicalTables, w: int) -> None:
-    """Drop the stored cells of distance w, the heads of its
-    :func:`_strip_plan`, once nothing reads them again; the factor is
-    kept.  A distance outside [0, n-1] raises IndexError, as in
+    """Drop the stored cells of distance w, its record or the heads of its
+    :func:`_strip_plan` still live, once nothing reads them again; the
+    factor is kept.  A distance outside [0, n-1] raises IndexError, as in
     :func:`fetch_strip`, and each head must still be stored (KeyError
     otherwise)."""
-    n1, n = t.g.n1, t.g.n
+    n = t.g.n
     if not 0 <= w <= n - 1:
         raise IndexError(f"distance {w} outside a {n} x {n} table")
-    for k in _strip_plan(n1, w % n1, min(n1, n - w))[0]:
-        del t.entries[(k, k + w)]
+    if w in t.records:
+        del t.records[w]
+        return
+    for k in _plan(t.g, w)[0]:
+        del t.cells[(k, k + w)]
 
 
 def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip:
     """Table values for every pair (k, k + w), k = 0 .. n-1-w, as a strip.
 
-    The strip :func:`~tbtinv.oracle.stack_cells` makes of the :func:`fetch`
-    of each pair, read in two row gathers instead, by the plan
-    :func:`_strip_plan` caches for the block size, w mod n1 and the block
-    rows min(n1, n - w).  The first gather stacks the distinct stored
-    cells of the distance, each read once, :func:`_mirror_values` mirrors
-    them all at once, and the second expands the direct and mirrored rows
-    to the n - w rows of the strip, each head read by its own key.  A
-    missing head, or one off its pair's support, raises InternalIndexError.
+    The strip of the :func:`fetch` of each pair, read in two row gathers
+    instead, by the plan :func:`_strip_plan` caches for the block size,
+    w mod n1 and the block rows min(n1, n - w).  The first gather takes
+    the record of the distance, each stored cell once (a live distance is
+    stacked by :func:`_stacked` first), :func:`_mirror_values` mirrors it
+    all at once, and the second expands the direct and mirrored rows to
+    the n - w rows of the strip.  A live head missing, or off its pair's
+    support, raises InternalIndexError.
     """
     n1, n = t.g.n1, t.g.n
     if not 0 <= w <= n - 1:
         raise IndexError(f"distance {w} outside a {n} x {n} table")
-    heads, first = _strip_plan(n1, w % n1, min(n1, n - w))
-    read = stack_cells([t.entries.get((k, k + w)) for k in heads], heads, w)
+    heads, first = _plan(t.g, w)
+    r = t.records.get(w)
+    if r is None:
+        r = _stacked([t.cells.get((k, k + w)) for k in heads], heads, w)
+    read = _columns(r)
     at = first[np.arange(n - w) % n1]
     both = zip(read, _mirror_values(*read))
     return _frozen(GrcStrip(*(np.concatenate(pair)[at] for pair in both)))
+
+
+def _columns(r: _Record) -> GrcStrip:
+    """The strip of a record's rows, as views of its arrays."""
+    return GrcStrip(r.x[:, 0], r.x[:, 1], r.x[:, 2].real, r.x[:, 3].real,
+                    r.pq[:, 0], r.pq[:, 1])
 
 
 def tbt_factorization(g: TbtGenerator, counter: OpCounter | None = None, *,

@@ -363,22 +363,6 @@ def grc_full(R: np.ndarray, counter: OpCounter | None = None, *,
     return CoeffTables(n, [])
 
 
-def stack_cells(cells: list, heads, w: int) -> GrcStrip:
-    """The strip of the cells (k, k + w), k running over ``heads``.  A
-    mirror or block shift keeps a pair's support, so a missing cell or
-    a support other than [k, k + w] is an index bug: InternalIndexError."""
-    for k, e in zip(heads, cells):
-        if e is None:
-            raise InternalIndexError(f"cell ({k}, {k + w}) is not stored")
-        if (e.p.lo, e.p.hi, e.q.lo, e.q.hi) != (k, k + w, k, k + w):
-            raise InternalIndexError(f"cell ({k}, {k + w}) has supports "
-                                     f"{e.p.lo, e.p.hi} / {e.q.lo, e.q.hi}")
-    x = np.array([(e.a, e.ap, e.v, e.vp) for e in cells], dtype=complex)
-    return _frozen(GrcStrip(x[:, 0], x[:, 1], x[:, 2].real, x[:, 3].real,
-                            np.array([e.p.coeff for e in cells]),
-                            np.array([e.q.coeff for e in cells])))
-
-
 def cells_deviation(got: GrcStrip, want: GrcStrip) -> float:
     """Hybrid relative deviation between two strips of one distance.
 
@@ -409,15 +393,6 @@ def cells_deviation(got: GrcStrip, want: GrcStrip) -> float:
         np.abs(y).max(axis=1, keepdims=True, out=top[i:i + r])
     poly /= np.maximum(top, 1.0, out=top)
     return float(max(scalar.max(), poly.max()))
-
-
-def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
-    """Hybrid relative deviation between two table cells: the one-row case
-    of :func:`cells_deviation`, each cell stacked by :func:`stack_cells`
-    at ``want``'s head and its own distance."""
-    k = want.p.lo
-    return cells_deviation(*(stack_cells([e], [k], e.p.hi - k)
-                             for e in (got, want)))
 
 
 def _aligned_zeros(n: int) -> np.ndarray:

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 
+import tbtinv.fast
 from tbtinv import InverseFactor, TbtGenerator, generate_pd_tbt, grc_full
-from tbtinv.oracle import _aligned_zeros, write_column
+from tbtinv.oracle import GrcEntry, GrcStrip, _aligned_zeros, \
+    cells_deviation, write_column
 
 
 def random_hermitian_pd(n, seed, shift=1.0):
@@ -34,6 +36,22 @@ def replayed_factor(r, counter=None):
     for w, s in enumerate(t.strips):
         write_column(lower, diag, t.n - 1 - w, s.p[-1], s.vp[-1])
     return InverseFactor(lower, diag)
+
+
+def stack_cells(cells: list, heads, w: int) -> GrcStrip:
+    """The strip of the cells (k, k + w), k running over ``heads``, read
+    from the record the full tables would keep of them; a missing cell or
+    a support other than [k, k + w] raises InternalIndexError."""
+    return tbtinv.fast._columns(tbtinv.fast._stacked(cells, heads, w))
+
+
+def entry_deviation(got: GrcEntry, want: GrcEntry) -> float:
+    """Hybrid relative deviation between two table cells: the one-row case
+    of :func:`cells_deviation`, each cell stacked by :func:`stack_cells`
+    at ``want``'s head and its own distance."""
+    k = want.p.lo
+    return cells_deviation(*(stack_cells([e], [k], e.p.hi - k)
+                             for e in (got, want)))
 
 
 def peak_bytes(fn, *args):

@@ -18,9 +18,8 @@ from tbtinv.cli import EXIT_BEYOND_PRECISION, EXIT_FAIL, EXIT_INTERNAL, \
     EXIT_NOT_PD, EXIT_PASS, EXIT_USAGE, main, run_verify
 from tbtinv.fileio import format_generator, read_dense, read_factor, \
     read_generator, write_dense, write_factor, write_generator
-from tbtinv.oracle import entry_deviation
-from conftest import identity_generator, peak_bytes, poison_column, \
-    replayed_factor, top_of_range
+from conftest import entry_deviation, identity_generator, peak_bytes, \
+    poison_column, replayed_factor, top_of_range
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -539,7 +538,7 @@ def test_run_verify_drops_each_fast_distance_once_compared(monkeypatch,
 
 
 def test_run_verify_peak_at_12x12_is_the_fast_tables_and_r():
-    # 1.14 times the fast tables' own peak: the fast tables less the few
+    # 1.20 times the fast tables' own peak: the fast tables less the few
     # distances already compared, R and the strips of one distance, early
     # in the reference.  The first calls are left out: they also fill
     # caches.
@@ -547,6 +546,16 @@ def test_run_verify_peak_at_12x12_is_the_fast_tables_and_r():
     run_verify(g)
     tbt_grc(g)
     assert peak_bytes(run_verify, g) <= 1.24 * peak_bytes(tbt_grc, g)
+
+
+def test_run_verify_peak_on_the_benchmarks_8x8_case():
+    # The squarest case of the benchmark's verify sweep at seed 1: the
+    # finished distances of the fast tables are held as two arrays each,
+    # not as cells, so the peak reads 7.89 n^2 complex entries (9.28 with
+    # a cell object per stored pair).  The first call fills caches.
+    g = generate_pd_tbt(8, 8, 65540)
+    run_verify(g)
+    assert peak_bytes(run_verify, g) <= 8.5 * g.n ** 2 * 16
 
 
 @pytest.mark.parametrize("make", [
@@ -661,22 +670,24 @@ def test_table_deviation_is_the_worst_entry_deviation(make):
 def test_widened_stored_support_is_internal_error(monkeypatch):
     # At n1 = 3, (2, 3) is its own mirror, so its row is only read
     # directly; (1, 3) is read directly and also serves (2, 4) through the
-    # mirror.  Neither is read by the factorization's full-width cells, so
-    # only the strip read can see it.  Widening a stored support is an
-    # index error either way.
+    # mirror.  Neither is read by the factorization's full-width cells.
+    # Widening a stored support once every step has read it, while its
+    # distance is still live, is an index error either way: the record of
+    # the distance refuses it.
     g = generate_pd_tbt(3, 2, seed=8)
-    real = cli.tbt_grc
+    real = tbtinv.fast._record
     for pair, served in (((2, 3), (2, 3)), ((1, 3), (2, 4))):
         assert index_exchange(*served, g.n1) == pair
 
-        def widened(g):
-            t = real(g)
-            e = t.entries[pair]
-            q = BandVector(e.q.n, e.q.lo, e.q.hi + 1, np.append(e.q.coeff, 0))
-            t.entries[pair] = e._replace(q=q)
-            return t
+        def widened(t, w):
+            if w == pair[1] - pair[0]:
+                e = t.cells[pair]
+                q = BandVector(e.q.n, e.q.lo, e.q.hi + 1,
+                               np.append(e.q.coeff, 0))
+                t.cells[pair] = e._replace(q=q)
+            real(t, w)
 
-        monkeypatch.setattr(cli, "tbt_grc", widened)
+        monkeypatch.setattr(tbtinv.fast, "_record", widened)
         with pytest.raises(InternalIndexError, match=re.escape(f"cell {pair}")):
             run_verify(g, 1.0)
 
@@ -684,21 +695,22 @@ def test_widened_stored_support_is_internal_error(monkeypatch):
 @pytest.mark.parametrize("pair", [(1, 3), (0, 2)])
 def test_verify_narrowed_stored_cell_exits_4(tmp_path, capsys, monkeypatch,
                                              pair):
-    # One coefficient off a stored p, after the recursion is done: (1, 3)
-    # serves no factor column, (0, 2) served column 3 as it was written.
-    # The strip view reads both: an index error, one line on stderr.
+    # One coefficient off a stored p once every step has read it, while
+    # its distance is still live: (1, 3) serves no factor column, (0, 2)
+    # served column 3 as it was written.  The record of the distance
+    # refuses both: an index error, one line on stderr.
     gen = tmp_path / "g.txt"
     write_generator(generate_pd_tbt(3, 2, seed=8), gen)
-    real = cli.tbt_grc
+    real = tbtinv.fast._record
 
-    def narrowed(g):
-        t = real(g)
-        e = t.entries[pair]
-        p = BandVector(e.p.n, e.p.lo, e.p.hi - 1, e.p.coeff[:-1])
-        t.entries[pair] = e._replace(p=p)
-        return t
+    def narrowed(t, w):
+        if w == pair[1] - pair[0]:
+            e = t.cells[pair]
+            p = BandVector(e.p.n, e.p.lo, e.p.hi - 1, e.p.coeff[:-1])
+            t.cells[pair] = e._replace(p=p)
+        real(t, w)
 
-    monkeypatch.setattr(cli, "tbt_grc", narrowed)
+    monkeypatch.setattr(tbtinv.fast, "_record", narrowed)
     assert main(["verify", "--input", str(gen)]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("InternalIndexError: ") and err.count("\n") == 1

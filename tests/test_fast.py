@@ -33,8 +33,9 @@ from tbtinv import (
     unit_band,
 )
 from tbtinv.fast import drop_distance
-from tbtinv.oracle import cells_deviation, entry_deviation, stack_cells
-from conftest import identity_generator, peak_bytes, poison_column
+from tbtinv.oracle import cells_deviation
+from conftest import entry_deviation, identity_generator, peak_bytes, \
+    poison_column, stack_cells
 
 
 def loop_pairs(n1, n2):
@@ -447,6 +448,27 @@ def test_kept_tables_hold_exactly_the_factor_pairs(n1, n2):
             fetch(t, k, l)
 
 
+@pytest.mark.parametrize("n1,n2", [(n1, n2) for n1 in range(1, 9)
+                                   for n2 in range(1, 9)])
+def test_full_tables_store_the_pairs_the_source_map_names(n1, n2):
+    # Recorded and live alike, the stored pairs are the (k, k + w), k below
+    # min(n1, n - w), that the map sends to themselves, each with w + 1
+    # coefficients per polynomial: the count, bytes and membership that
+    # the table metrics read.
+    g = generate_pd_tbt(n1, n2, seed=n1 * n2)
+    t = tbt_grc(g)
+    src = tbtinv.fast._source_map(n1)
+    stored = {(k, k + w) for w in range(g.n)
+              for k in range(min(n1, g.n - w)) if src[w % n1][k] == k}
+    assert len(t.entries) == len(stored)
+    assert (sum(e.p.coeff.nbytes + e.q.coeff.nbytes
+                for e in t.entries.values())
+            == sum(2 * 16 * (l - k + 1) for k, l in stored))
+    for k in range(g.n):
+        for l in range(k, g.n):
+            assert t.is_stored(k, l) == ((k, l) in stored)
+
+
 @pytest.mark.parametrize("n1,n2", [(1, 6), (6, 1), (3, 5), (4, 4)])
 def test_drop_distance_drops_exactly_that_distances_cells(n1, n2):
     # Every stored cell of distance w goes, and no other cell or the
@@ -496,17 +518,21 @@ def test_factorization_from_tables_reads_stored_cells_only(monkeypatch,
 
 @pytest.mark.parametrize("n1,n2", [(4, 3), (3, 4), (1, 5), (5, 1)])
 def test_factorization_leaves_the_callers_tables_intact(n1, n2):
-    # The factor drops only its own references to the cells it reads.
+    # The factor drops only its own references to the cells it reads: the
+    # live cells and the records are the objects the tables held.
     g = generate_pd_tbt(n1, n2, seed=n1 * 10 + n2)
     t = tbt_grc(g)
-    cells = dict(t.entries)
+    cells, records = dict(t.cells), dict(t.records)
     arrays = {pair: (e.p.coeff, e.q.coeff) for pair, e in cells.items()}
     want = [fetch(t, k, l) for k in range(g.n) for l in range(k, g.n)]
     tbt_factorization(g, tables=t)
-    assert t.entries.keys() == cells.keys()
-    for pair, e in t.entries.items():
+    assert t.cells.keys() == cells.keys()
+    for pair, e in t.cells.items():
         assert e is cells[pair]
         assert e.p.coeff is arrays[pair][0] and e.q.coeff is arrays[pair][1]
+    assert t.records.keys() == records.keys()
+    for w, r in t.records.items():
+        assert r is records[w]
     assert [fetch(t, k, l) for k in range(g.n) for l in range(k, g.n)] == want
 
 

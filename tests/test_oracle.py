@@ -32,9 +32,9 @@ from tbtinv import (
 from tbtinv import cli, oracle
 from tbtinv.cli import EXIT_INTERNAL, EXIT_NOT_PD, main
 from tbtinv.fileio import write_generator
-from tbtinv.oracle import _TINY, cells_deviation, entry_deviation
-from conftest import identity_generator, peak_bytes, random_hermitian_pd, \
-    replayed_factor, top_of_range
+from tbtinv.oracle import _TINY, cells_deviation
+from conftest import entry_deviation, identity_generator, peak_bytes, \
+    random_hermitian_pd, replayed_factor, top_of_range
 
 
 def _dense_accessor(r):
