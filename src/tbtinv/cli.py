@@ -79,9 +79,10 @@ def run_verify(g: TbtGenerator,
     Runs the fast recursion, then the dense reference.  Each reference
     strip is compared, as :func:`~tbtinv.oracle.grc_full` makes it, with
     the fast tables' strip of its distance, read through
-    :func:`~tbtinv.fast.fetch_strip` (a stored cell off its support raises
-    InternalIndexError), and that distance's fast cells are then dropped
-    by :func:`~tbtinv.fast.drop_distance`, so at most two reference
+    :func:`~tbtinv.fast.fetch_strip` from the distance's record (a stored
+    cell off its support raised InternalIndexError as it was recorded),
+    and that record is then dropped by
+    :func:`~tbtinv.fast.drop_distance`, so at most two reference
     strips are held at once and the fast tables shrink as the reference
     grows: the peak is the fast tables less the few distances already
     compared, R and the strips of one distance, early in the reference

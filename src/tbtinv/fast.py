@@ -17,18 +17,19 @@ that distance once.  The recursion writes each column of the inverse
 factor as soon as its distance is complete.  No step reads a distance
 once the next is done: the full tables then record it as two frozen
 arrays and free its cells, and for :func:`tbt_factorization` the
-recursion keeps no distance but the last, so its memory
-is O(n^2), about 1.3 times the factor.  The matrix is read exclusively
-through column slices built from the generator
-(:func:`~tbtinv.core.column_accessor`, under the accessor contract of
-:func:`~tbtinv.core.column_inner`), never through a dense copy, and the
-total work is O(n1^3 * n2^2) scalar operations.
+recursion frees them unrecorded, so its memory is O(n^2), about 1.3
+times the factor.  The last distance is recorded in both modes: the
+tables returned hold records only, and live cells exist only while the
+recursion runs.  The matrix is read exclusively through column slices
+built from the generator (:func:`~tbtinv.core.column_accessor`, under
+the accessor contract of :func:`~tbtinv.core.column_inner`), never
+through a dense copy, and the total work is O(n1^3 * n2^2) scalar
+operations.
 """
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass
-from types import MappingProxyType
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -64,24 +65,23 @@ class CanonicalTables:
     The stored pairs are the (k, k + w), k < n1, that :func:`_source_map`
     maps to itself: of a pair and its antidiagonal mirror, the one with
     the smaller row, so the diagonal pairs (k, k) with 2k < n1.
-    :func:`fetch` serves every other pair from one of them.  ``cells``
-    holds the stored pairs of the distances still live, one
-    :class:`~tbtinv.oracle.GrcEntry` each, and ``records`` each finished
-    distance w as one :class:`_Record`; ``entries`` is a read-only
-    mapping of every stored pair, from either.  Tables made by
-    :func:`tbt_grc` with ``factor_only`` hold only the last distance's
-    one cell (0, n-1), and a pair served by a dropped one raises
-    InternalIndexError.  ``factor`` is the inverse factor :func:`tbt_grc`
-    wrote as the recursion went; tables built otherwise hold None.
-    Only :func:`tbt_grc`'s full tables set ``records`` to a dict of
-    their own; all others share the class's empty read-only one, so the
-    ``factor_only`` recursion allocates no record store.
+    :func:`fetch` serves every other pair from one of them.  ``records``
+    holds each finished distance w as one :class:`_Record`, and
+    ``entries`` is a read-only mapping of every recorded pair.  ``cells``
+    is the recursion's scratch space: the stored pairs of the distances
+    still live, one :class:`~tbtinv.oracle.GrcEntry` each, which only
+    :func:`fetch` and :meth:`is_stored` read; tables that :func:`tbt_grc`
+    returns hold none.  Tables made with ``factor_only`` hold only the
+    record of the last distance, its one cell (0, n-1), and a pair served
+    by a dropped one raises InternalIndexError.  ``factor`` is the
+    inverse factor :func:`tbt_grc` wrote as the recursion went; tables
+    built otherwise hold None.
     """
 
     g: TbtGenerator
     cells: dict
     factor: InverseFactor | None = None
-    records = MappingProxyType({})  # not a field: see above
+    records: dict = field(default_factory=dict)
 
     @property
     def entries(self) -> Mapping:
@@ -95,36 +95,27 @@ class CanonicalTables:
 
 
 class _Entries(Mapping):
-    """Every stored pair of tables ``t``, read-only: a live cell as stored,
-    a recorded one read back on its support."""
+    """Every recorded pair of tables ``t``, read-only, on its support."""
 
     def __init__(self, t: CanonicalTables):
         self._t = t
 
     def __getitem__(self, pair):
-        t = self._t
-        e = t.cells.get(pair)
-        if e is not None:
-            return e
-        if not t.is_stored(*pair):
+        t, (k, l) = self._t, pair
+        r = t.records.get(l - k)
+        if r is None or k not in r.heads:
             raise KeyError(pair)
-        k, l = pair
         a, ap, v, vp, p, q = _recorded(t, k, l - k)
         n = t.g.n
         return GrcEntry(a, ap, v, vp, _band(n, k, l, p), _band(n, k, l, q))
-
-    def __contains__(self, pair) -> bool:
-        return self._t.is_stored(*pair)
 
     def __iter__(self):
         for w, r in self._t.records.items():
             for k in r.heads:
                 yield k, k + w
-        yield from self._t.cells
 
     def __len__(self) -> int:
-        return (len(self._t.cells)
-                + sum(len(r.heads) for r in self._t.records.values()))
+        return sum(len(r.heads) for r in self._t.records.values())
 
 
 @functools.cache
@@ -179,19 +170,17 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
     returned as the tables' ``factor``.
 
     No step reads distance w - 1 once distance w is done.  By default
-    :func:`_record` then records it, and its cells are freed; the last
-    distance stays live.  With ``factor_only``, :func:`drop_distance`
-    drops it instead: the tables end holding only the last distance's
-    cell (0, n-1), and the memory is that of the factor and two
-    distances.  :func:`fetch` of a pair served by a dropped cell raises
-    InternalIndexError.
+    :func:`_record` then records it, and its cells are freed.  With
+    ``factor_only`` its cells are freed unrecorded: the tables end
+    holding only the last distance's cell (0, n-1), and the memory is
+    that of the factor and two distances.  :func:`fetch` of a pair served
+    by a dropped cell raises InternalIndexError.  The last distance is
+    recorded in both modes, so the tables returned hold no live cell.
     """
     n1, n = g.n1, g.n
     m = column_accessor(g)
     c00 = g.c[0, n1 - 1].real
     t = CanonicalTables(g, {})
-    if not factor_only:
-        t.records = {}
     lower, diag = _aligned_zeros(n), np.empty(n)
     with np.errstate(invalid="ignore", over="ignore"):
         for w in range(n):
@@ -212,20 +201,20 @@ def tbt_grc(g: TbtGenerator, counter: OpCounter | None = None, *,
             else:
                 write_column(lower, diag, c, np.conj(e.q.coeff[::-1]), e.v)
             if w and factor_only:  # no later step reads distance w - 1
-                drop_distance(t, w - 1)
+                for k in _plan(g, w - 1)[0]:
+                    del t.cells[(k, k + w - 1)]
             elif w:
                 _record(t, w - 1)
+    _record(t, n - 1)
     t.factor = InverseFactor(lower, diag)
     return t
 
 
 def _stacked(cells: list, heads, w: int) -> _Record:
     """The record of the cells (k, k + w), k running over ``heads``.  A
-    mirror or block shift keeps a pair's support, so a missing cell or a
-    support other than [k, k + w] is an index bug: InternalIndexError."""
+    mirror or block shift keeps a pair's support, so a support other than
+    [k, k + w] is an index bug: InternalIndexError."""
     for k, e in zip(heads, cells):
-        if e is None:
-            raise InternalIndexError(f"cell ({k}, {k + w}) is not stored")
         if (e.p.lo, e.p.hi, e.q.lo, e.q.hi) != (k, k + w, k, k + w):
             raise InternalIndexError(f"cell ({k}, {k + w}) has supports "
                                      f"{e.p.lo, e.p.hi} / {e.q.lo, e.q.hi}")
@@ -248,9 +237,7 @@ def _recorded(t: CanonicalTables, k: int, w: int) -> tuple:
     record, as :func:`_mirror_values` takes them."""
     r = t.records[w]
     i = r.heads.index(k)
-    a, ap, v, vp = r.x[i]
-    p, q = r.pq[i]
-    return a, ap, v.real, vp.real, p, q
+    return tuple(column[i] for column in _columns(r))
 
 
 def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
@@ -258,9 +245,9 @@ def fetch(t: CanonicalTables, k: int, l: int) -> GrcEntry:
 
     A whole-block shift keeps the values of a cell, so (k, l) has the
     values of (k0, k0 + l - k), k0 = k mod n1, served from the stored
-    pair :func:`_source_map` names, itself or its mirror, live or
-    recorded.  A live stored pair is returned as stored; any other is
-    built on the support [k, l].
+    pair :func:`_source_map` names, itself or its mirror: recorded, or
+    live while the recursion runs.  A live stored pair is returned as
+    stored; any other is built on the support [k, l].
     """
     n1, n = t.g.n1, t.g.n
     if not (0 <= k <= l <= n - 1):
@@ -309,19 +296,13 @@ def _plan(g: TbtGenerator, w: int) -> tuple:
 
 
 def drop_distance(t: CanonicalTables, w: int) -> None:
-    """Drop the stored cells of distance w, its record or the heads of its
-    :func:`_strip_plan` still live, once nothing reads them again; the
+    """Drop the record of distance w once nothing reads it again; the
     factor is kept.  A distance outside [0, n-1] raises IndexError, as in
-    :func:`fetch_strip`, and each head must still be stored (KeyError
-    otherwise)."""
+    :func:`fetch_strip`, and one with no record KeyError."""
     n = t.g.n
     if not 0 <= w <= n - 1:
         raise IndexError(f"distance {w} outside a {n} x {n} table")
-    if w in t.records:
-        del t.records[w]
-        return
-    for k in _plan(t.g, w)[0]:
-        del t.cells[(k, k + w)]
+    del t.records[w]
 
 
 def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip:
@@ -330,21 +311,19 @@ def fetch_strip(t: CanonicalTables, w: int) -> GrcStrip:
     The strip of the :func:`fetch` of each pair, read in two row gathers
     instead, by the plan :func:`_strip_plan` caches for the block size,
     w mod n1 and the block rows min(n1, n - w).  The first gather takes
-    the record of the distance, each stored cell once (a live distance is
-    stacked by :func:`_stacked` first), :func:`_mirror_values` mirrors it
-    all at once, and the second expands the direct and mirrored rows to
-    the n - w rows of the strip.  A live head missing, or off its pair's
-    support, raises InternalIndexError.
+    the record of the distance, each stored cell once,
+    :func:`_mirror_values` mirrors it all at once, and the second expands
+    the direct and mirrored rows to the n - w rows of the strip.  A
+    distance with no record raises InternalIndexError.
     """
     n1, n = t.g.n1, t.g.n
     if not 0 <= w <= n - 1:
         raise IndexError(f"distance {w} outside a {n} x {n} table")
-    heads, first = _plan(t.g, w)
     r = t.records.get(w)
     if r is None:
-        r = _stacked([t.cells.get((k, k + w)) for k in heads], heads, w)
+        raise InternalIndexError(f"distance {w} has no record")
     read = _columns(r)
-    at = first[np.arange(n - w) % n1]
+    at = _plan(t.g, w)[1][np.arange(n - w) % n1]
     both = zip(read, _mirror_values(*read))
     return _frozen(GrcStrip(*(np.concatenate(pair)[at] for pair in both)))
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NotPositiveDefinite, NumericalBreakdown, OpCounter, \
-    SingularP, TbtGenerator, _lookup, assemble_dense, frobenius_norm, \
-    unit_scaled
+    SingularP, TbtGenerator, _lookup, frobenius_norm, unit_scaled
 
 # A smallest eigenvalue at or below this fraction of the block's largest
 # eigenvalue magnitude counts as singular.
@@ -145,24 +144,20 @@ def wwr_recurse(g: TbtGenerator,
     return states
 
 
-def normal_system(g: TbtGenerator, r: np.ndarray | None = None):
+def normal_system(g: TbtGenerator, r: np.ndarray):
     """Dense block-Toeplitz system and right-hand side of the final order.
 
     The right-hand side carries the minus sign of the normal equations:
     the coefficients of a perfect solve satisfy  A . big_R = -[R_1 .. ].
-    Both are sections of the dense matrix of ``g``; a caller that already
-    holds it passes it as ``r``.
+    Both are sections of ``r``, the dense matrix of ``g``.
     """
     m = (g.n2 - 1) * g.n1
-    if r is None:
-        r = assemble_dense(g)
     return r[:m, :m], -r[:g.n1, g.n1:]
 
 
-def wwr_residual(g: TbtGenerator, final: WwrState,
-                 r: np.ndarray | None = None) -> float:
+def wwr_residual(g: TbtGenerator, final: WwrState, r: np.ndarray) -> float:
     """Frobenius norm of the normal-equation residual at the final order;
-    ``r`` is the dense matrix of ``g`` if the caller holds it."""
+    ``r`` is the dense matrix of ``g``."""
     if final.order != g.n2 - 1:
         raise ValueError("state is not at the final order")
     big, rhs = normal_system(g, r)

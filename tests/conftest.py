@@ -40,8 +40,8 @@ def replayed_factor(r, counter=None):
 
 def stack_cells(cells: list, heads, w: int) -> GrcStrip:
     """The strip of the cells (k, k + w), k running over ``heads``, read
-    from the record the full tables would keep of them; a missing cell or
-    a support other than [k, k + w] raises InternalIndexError."""
+    from the record the tables would keep of them; a support other than
+    [k, k + w] raises InternalIndexError."""
     return tbtinv.fast._columns(tbtinv.fast._stacked(cells, heads, w))
 
 

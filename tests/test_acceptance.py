@@ -192,8 +192,9 @@ def test_criterion_8_baseline_contract():
         for n2 in range(2, 7):
             g = generate_pd_tbt(n1, n2, seed=10 * n1 + n2)
             states = wwr_recurse(g)
-            _, rhs = normal_system(g)
-            worst = max(worst, wwr_residual(g, states[-1])
+            r = assemble_dense(g)
+            _, rhs = normal_system(g, r)
+            worst = max(worst, wwr_residual(g, states[-1], r)
                         / float(np.linalg.norm(rhs)))
     ident = identity_generator(3, 4)
     ident_states = wwr_recurse(ident)

@@ -436,11 +436,12 @@ def test_factorization_dropping_cells_is_the_full_tables_factor(n1, n2, seed):
                                    for n2 in range(1, 9)])
 def test_kept_tables_hold_exactly_the_factor_pairs(n1, n2):
     # The factor is written as each distance completes, so only the last
-    # distance's one cell is left.
+    # distance's one cell is left, recorded: no live cell survives.
     g = generate_pd_tbt(n1, n2, seed=n1 * n2)
     full = tbt_grc(g)
     last = (0, g.n - 1)
     t = tbt_grc(g, factor_only=True)
+    assert t.cells == {} and set(t.records) == {g.n - 1}
     assert set(t.entries) == {last}
     assert t.entries[last] == full.entries[last]
     for k, l in full.entries.keys() - {last}:
@@ -451,12 +452,14 @@ def test_kept_tables_hold_exactly_the_factor_pairs(n1, n2):
 @pytest.mark.parametrize("n1,n2", [(n1, n2) for n1 in range(1, 9)
                                    for n2 in range(1, 9)])
 def test_full_tables_store_the_pairs_the_source_map_names(n1, n2):
-    # Recorded and live alike, the stored pairs are the (k, k + w), k below
+    # Every distance is recorded, the last included, and no live cell
+    # survives.  The stored pairs are the (k, k + w), k below
     # min(n1, n - w), that the map sends to themselves, each with w + 1
     # coefficients per polynomial: the count, bytes and membership that
     # the table metrics read.
     g = generate_pd_tbt(n1, n2, seed=n1 * n2)
     t = tbt_grc(g)
+    assert t.cells == {} and set(t.records) == set(range(g.n))
     src = tbtinv.fast._source_map(n1)
     stored = {(k, k + w) for w in range(g.n)
               for k in range(min(n1, g.n - w)) if src[w % n1][k] == k}
@@ -518,18 +521,14 @@ def test_factorization_from_tables_reads_stored_cells_only(monkeypatch,
 
 @pytest.mark.parametrize("n1,n2", [(4, 3), (3, 4), (1, 5), (5, 1)])
 def test_factorization_leaves_the_callers_tables_intact(n1, n2):
-    # The factor drops only its own references to the cells it reads: the
-    # live cells and the records are the objects the tables held.
+    # The factor drops only its own references to what it reads: the
+    # tables hold records only, and afterwards the very records they held.
     g = generate_pd_tbt(n1, n2, seed=n1 * 10 + n2)
     t = tbt_grc(g)
-    cells, records = dict(t.cells), dict(t.records)
-    arrays = {pair: (e.p.coeff, e.q.coeff) for pair, e in cells.items()}
+    records = dict(t.records)
     want = [fetch(t, k, l) for k in range(g.n) for l in range(k, g.n)]
     tbt_factorization(g, tables=t)
-    assert t.cells.keys() == cells.keys()
-    for pair, e in t.cells.items():
-        assert e is cells[pair]
-        assert e.p.coeff is arrays[pair][0] and e.q.coeff is arrays[pair][1]
+    assert t.cells == {}
     assert t.records.keys() == records.keys()
     for w, r in t.records.items():
         assert r is records[w]

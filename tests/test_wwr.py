@@ -48,7 +48,7 @@ def test_identity_input_gives_zero_coefficients():
             assert np.array_equal(coeff, np.zeros((2, 2)))
         assert np.array_equal(st.prediction_error, np.eye(2))
         assert np.array_equal(st.innovation, np.zeros((2, 2)))
-    assert wwr_residual(g, states[-1]) == 0.0
+    assert wwr_residual(g, states[-1], assemble_dense(g)) == 0.0
 
 
 def test_base_case_single_step_solve():
@@ -57,15 +57,17 @@ def test_base_case_single_step_solve():
     r0, r1 = block(g, 0), block(g, 1)
     want = -r1 @ np.linalg.inv(r0)
     assert np.max(np.abs(states[-1].coeffs[0] - want)) <= 1e-12 * np.max(np.abs(r1))
-    assert wwr_residual(g, states[-1]) <= 1e-12 * np.linalg.norm(r1)
+    resid = wwr_residual(g, states[-1], assemble_dense(g))
+    assert resid <= 1e-12 * np.linalg.norm(r1)
 
 
 @pytest.mark.parametrize("n1,n2,seed", [(2, 4, 3), (3, 3, 4), (4, 6, 5), (1, 5, 6)])
 def test_residual_and_dense_solve(n1, n2, seed):
     g = generate_pd_tbt(n1, n2, seed)
     states = wwr_recurse(g)
-    big, rhs = normal_system(g)
-    rel = wwr_residual(g, states[-1]) / np.linalg.norm(rhs)
+    r = assemble_dense(g)
+    big, rhs = normal_system(g, r)
+    rel = wwr_residual(g, states[-1], r) / np.linalg.norm(rhs)
     assert rel <= 1e-9
     direct = rhs @ np.linalg.inv(big)
     got = np.hstack(states[-1].coeffs)
@@ -163,9 +165,10 @@ def test_pd_input_at_the_top_of_the_float_range(n1, n2):
     # block scaled by a power of two.
     g = top_of_range(n1, n2)
     final = wwr_recurse(g)[-1]
-    rhs = normal_system(g)[1]
+    r = assemble_dense(g)
+    rhs = normal_system(g, r)[1]
     assert np.isfinite(final.coeffs).all()
-    assert wwr_residual(g, final) <= 1e-12 * np.abs(rhs).max()
+    assert wwr_residual(g, final, r) <= 1e-12 * np.abs(rhs).max()
 
 
 def test_indefinite_block_past_range_reports_its_eigenvalue():
@@ -212,7 +215,7 @@ def test_residual_requires_final_state():
     g = generate_pd_tbt(2, 4, seed=8)
     states = wwr_recurse(g)
     with pytest.raises(ValueError):
-        wwr_residual(g, states[0])
+        wwr_residual(g, states[0], assemble_dense(g))
 
 
 def test_state_order_is_its_stack_length():
@@ -229,7 +232,7 @@ def test_state_order_is_its_stack_length():
     short = WwrState(final.coeffs[:-1], final.prediction_error,
                      final.innovation)
     with pytest.raises(ValueError, match="not at the final order"):
-        wwr_residual(g, short)
+        wwr_residual(g, short, assemble_dense(g))
 
 
 def blockwise_states(g, counter=None):
